@@ -34,7 +34,6 @@ from .graph import (
     parse_graph_spec,
     star,
 )
-from .kernels import active_backend
 from .lemma import (
     BandBudgetReport,
     SequenceInstance,

@@ -85,6 +85,12 @@ def hardness(
         return 0.0
     sub, relabel = instance.graph.induced_subgraph(suboptimal)
     weights = [1.0 / float(profile.gaps[a]) for a in relabel]
+    for arm, weight in zip(relabel, weights):
+        if math.isinf(weight):
+            raise InputError(
+                f"arm {arm}: gap {float(profile.gaps[arm]):.3g} is too small, "
+                "its inverse overflows"
+            )
     found = max_independent_set(
         sub, weights, exact_limit=exact_limit, allow_approximate=allow_approximate
     )

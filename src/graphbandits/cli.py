@@ -58,7 +58,7 @@ def _cmd_simulate(args) -> int:
         allow_approximate_mis=args.approx_mis,
     )
     out_dir = args.out or os.environ.get(ENV_OUT_DIR) or "."
-    report = run_experiment(config, backend=args.backend)
+    report = run_experiment(config)
     csv_path, sidecar_path = write_report(report, out_dir)
     print(
         f"wrote {csv_path} and {sidecar_path}; "
@@ -176,7 +176,7 @@ def _cmd_sweep_alpha(args) -> int:
         allow_approximate_mis=args.approx_mis,
     )
     labeled = [(spec, parse_graph_spec(spec)) for spec in args.graphs]
-    rows = sweep_alpha(config, labeled, backend=args.backend)
+    rows = sweep_alpha(config, labeled)
     lines = sweep_csv_lines(rows)
     if args.out:
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -203,12 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out",
         default=None,
         help=f"output directory (default: ${ENV_OUT_DIR} or .)",
-    )
-    p.add_argument(
-        "--backend",
-        choices=("numba", "numpy", "auto"),
-        default=None,
-        help="kernel backend override (default: GRAPHBANDITS_BACKEND or auto)",
     )
     _add_mis_flags(p)
     p.set_defaults(handler=_cmd_simulate)
@@ -266,12 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--graphs", required=True, nargs="+", help="graph specs to sweep over"
     )
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    p.add_argument(
-        "--backend",
-        choices=("numba", "numpy", "auto"),
-        default=None,
-        help="kernel backend override",
-    )
     _add_mis_flags(p)
     p.set_defaults(handler=_cmd_sweep_alpha)
 

@@ -1,9 +1,4 @@
-"""Hot numeric loops with numba acceleration and a numpy fallback.
-
-The backend is chosen by the GRAPHBANDITS_BACKEND environment variable:
-``numba``, ``numpy``, or unset/``auto`` for numba when importable. Both
-backends consume the same ``np.random.Generator`` stream and produce
-bit-identical outputs, so nothing downstream depends on the flag.
+"""Hot numeric loops: the fused episode loops and the band-sequence scans.
 
 Episode loops draw, per round, one uniform per arm (the reward vector) and,
 for Thompson sampling, one Beta sample per arm, in arm order. The policy
@@ -12,57 +7,22 @@ loops and the step-by-step path on identical trajectories.
 """
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-from .errors import CapabilityError, ConfigError, InputError
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    HAVE_NUMBA = False
-
-ENV_BACKEND = "GRAPHBANDITS_BACKEND"
+from .errors import InputError
 
 __all__ = [
-    "ENV_BACKEND",
-    "HAVE_NUMBA",
-    "active_backend",
     "run_episode_arrays",
     "scan_sequence_rows",
     "scan_sequences_range",
 ]
 
 
-def active_backend(override: str | None = None) -> str:
-    """Resolve the kernel backend from the environment (or ``override``)."""
-    choice = override if override is not None else os.environ.get(ENV_BACKEND, "")
-    choice = choice.strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise CapabilityError(
-                "backend 'numba' requested but numba is not importable"
-            )
-        return "numba"
-    raise ConfigError(
-        f"unknown backend {choice!r}; expected 'numba', 'numpy', or 'auto'"
-    )
-
-
 # ---------------------------------------------------------------------------
 # episode loops
 
 
-def _ucb_episode_numpy(means, adj, horizon, bonus, neighbor_updates, gen):
+def _ucb_episode(means, adj, horizon, bonus, neighbor_updates, gen):
     num_arms = means.shape[0]
     counts = np.zeros(num_arms, dtype=np.float64)
     sums = np.zeros(num_arms, dtype=np.float64)
@@ -85,7 +45,7 @@ def _ucb_episode_numpy(means, adj, horizon, bonus, neighbor_updates, gen):
     return pulls, counts, sums
 
 
-def _ts_episode_numpy(means, adj, horizon, gen):
+def _ts_episode(means, adj, horizon, gen):
     num_arms = means.shape[0]
     succ = np.zeros(num_arms, dtype=np.float64)
     fail = np.zeros(num_arms, dtype=np.float64)
@@ -102,70 +62,6 @@ def _ts_episode_numpy(means, adj, horizon, gen):
     return pulls, succ, fail
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _ucb_episode_numba(means, adj, horizon, bonus, neighbor_updates, gen):
-        num_arms = means.shape[0]
-        counts = np.zeros(num_arms, dtype=np.float64)
-        sums = np.zeros(num_arms, dtype=np.float64)
-        pulls = np.empty(horizon, dtype=np.int64)
-        u = np.empty(num_arms, dtype=np.float64)
-        for t in range(horizon):
-            for a in range(num_arms):
-                u[a] = gen.random()
-            arm = 0
-            best = -np.inf
-            for a in range(num_arms):
-                if counts[a] == 0.0:
-                    idx = np.inf
-                else:
-                    idx = sums[a] / counts[a] + math.sqrt(bonus / counts[a])
-                if idx > best:
-                    best = idx
-                    arm = a
-            pulls[t] = arm
-            if neighbor_updates:
-                for a in range(num_arms):
-                    if adj[arm, a]:
-                        counts[a] += 1.0
-                        if u[a] < means[a]:
-                            sums[a] += 1.0
-            else:
-                counts[arm] += 1.0
-                if u[arm] < means[arm]:
-                    sums[arm] += 1.0
-        return pulls, counts, sums
-
-    @njit(cache=True)
-    def _ts_episode_numba(means, adj, horizon, gen):
-        num_arms = means.shape[0]
-        succ = np.zeros(num_arms, dtype=np.float64)
-        fail = np.zeros(num_arms, dtype=np.float64)
-        pulls = np.empty(horizon, dtype=np.int64)
-        u = np.empty(num_arms, dtype=np.float64)
-        theta = np.empty(num_arms, dtype=np.float64)
-        for t in range(horizon):
-            for a in range(num_arms):
-                u[a] = gen.random()
-            for a in range(num_arms):
-                theta[a] = gen.beta(succ[a] + 1.0, fail[a] + 1.0)
-            arm = 0
-            best = -np.inf
-            for a in range(num_arms):
-                if theta[a] > best:
-                    best = theta[a]
-                    arm = a
-            pulls[t] = arm
-            for a in range(num_arms):
-                if adj[arm, a]:
-                    if u[a] < means[a]:
-                        succ[a] += 1.0
-                    else:
-                        fail[a] += 1.0
-        return pulls, succ, fail
-
-
 def run_episode_arrays(
     policy: str,
     means: np.ndarray,
@@ -173,7 +69,6 @@ def run_episode_arrays(
     horizon: int,
     gen: np.random.Generator,
     bonus: float = 0.0,
-    backend: str | None = None,
 ):
     """Run one episode and return (pulls, per-arm state A, per-arm state B).
 
@@ -186,18 +81,10 @@ def run_episode_arrays(
     horizon = int(horizon)
     if horizon < 1:
         raise InputError(f"horizon must be positive, got {horizon}")
-    use = active_backend(backend)
     if policy == "ucb-n" or policy == "ucb1":
-        neighbor = policy == "ucb-n"
-        if use == "numba":
-            return _ucb_episode_numba(
-                means, adj, horizon, float(bonus), neighbor, gen
-            )
-        return _ucb_episode_numpy(means, adj, horizon, float(bonus), neighbor, gen)
+        return _ucb_episode(means, adj, horizon, float(bonus), policy == "ucb-n", gen)
     if policy == "ts-n":
-        if use == "numba":
-            return _ts_episode_numba(means, adj, horizon, gen)
-        return _ts_episode_numpy(means, adj, horizon, gen)
+        return _ts_episode(means, adj, horizon, gen)
     raise InputError(f"unknown policy {policy!r}")
 
 
@@ -213,41 +100,7 @@ def run_episode_arrays(
 _CHUNK = 1 << 16
 
 
-def _scan_range_numpy(alpha, num_phases, start, stop, threshold, slack, max_record):
-    base = alpha + 1
-    radix = base ** np.arange(num_phases, dtype=np.int64)
-    pow2 = np.int64(2) ** np.arange(1, num_phases + 1, dtype=np.int64)
-    nonzero = 0
-    violations: list[int] = []
-    total_violations = 0
-    best_ratio = -1.0
-    best_index = -1
-    for lo in range(start, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = (idx[:, None] // radix) % base
-        terms = digits * pow2
-        totals = terms.sum(axis=1)
-        peaks = terms.max(axis=1)
-        live = peaks > 0
-        nonzero += int(np.count_nonzero(live))
-        ratios = np.where(live, totals / np.maximum(peaks, 1), -1.0)
-        pos = int(np.argmax(ratios))
-        if ratios[pos] > best_ratio:
-            best_ratio = float(ratios[pos])
-            best_index = int(idx[pos])
-        bad = live & (totals > threshold * peaks + slack)
-        n_bad = int(np.count_nonzero(bad))
-        if n_bad:
-            total_violations += n_bad
-            room = max_record - len(violations)
-            if room > 0:
-                violations.extend(int(i) for i in idx[bad][:room])
-    return nonzero, total_violations, violations, best_ratio, best_index
-
-
-def _scan_rows_numpy(rows, threshold, slack, max_record):
-    rows = np.asarray(rows, dtype=np.int64)
+def _scan_rows(rows, threshold, slack, max_record):
     num_phases = rows.shape[1]
     pow2 = np.int64(2) ** np.arange(1, num_phases + 1, dtype=np.int64)
     terms = rows * pow2
@@ -266,79 +119,26 @@ def _scan_rows_numpy(rows, threshold, slack, max_record):
     return nonzero, total_violations, violations, best_ratio, best_index
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _scan_range_numba(alpha, num_phases, start, stop, threshold, slack, record):
-        base = alpha + 1
-        digits = np.empty(num_phases, dtype=np.int64)
-        x = start
-        for p in range(num_phases):
-            digits[p] = x % base
-            x //= base
-        pow2 = np.empty(num_phases, dtype=np.int64)
-        for p in range(num_phases):
-            pow2[p] = 1 << (p + 1)
-        nonzero = 0
-        total_violations = 0
-        best_ratio = -1.0
-        best_index = -1
-        for i in range(start, stop):
-            total = 0
-            peak = 0
-            for p in range(num_phases):
-                term = digits[p] * pow2[p]
-                total += term
-                if term > peak:
-                    peak = term
-            if peak > 0:
-                nonzero += 1
-                ratio = total / peak
-                if ratio > best_ratio:
-                    best_ratio = ratio
-                    best_index = i
-                if total > threshold * peak + slack:
-                    if total_violations < record.shape[0]:
-                        record[total_violations] = i
-                    total_violations += 1
-            p = 0
-            while p < num_phases:
-                digits[p] += 1
-                if digits[p] < base:
-                    break
-                digits[p] = 0
-                p += 1
-        return nonzero, total_violations, best_ratio, best_index
-
-    @njit(cache=True)
-    def _scan_rows_numba(rows, threshold, slack, record):
-        num_rows, num_phases = rows.shape
-        pow2 = np.empty(num_phases, dtype=np.int64)
-        for p in range(num_phases):
-            pow2[p] = 1 << (p + 1)
-        nonzero = 0
-        total_violations = 0
-        best_ratio = -1.0
-        best_index = -1
-        for i in range(num_rows):
-            total = 0
-            peak = 0
-            for p in range(num_phases):
-                term = rows[i, p] * pow2[p]
-                total += term
-                if term > peak:
-                    peak = term
-            if peak > 0:
-                nonzero += 1
-                ratio = total / peak
-                if ratio > best_ratio:
-                    best_ratio = ratio
-                    best_index = i
-                if total > threshold * peak + slack:
-                    if total_violations < record.shape[0]:
-                        record[total_violations] = i
-                    total_violations += 1
-        return nonzero, total_violations, best_ratio, best_index
+def _scan_range(alpha, num_phases, start, stop, threshold, slack, max_record):
+    base = alpha + 1
+    radix = base ** np.arange(num_phases, dtype=np.int64)
+    nonzero = 0
+    violations: list[int] = []
+    total_violations = 0
+    best_ratio = -1.0
+    best_index = -1
+    for lo in range(start, stop, _CHUNK):
+        rows = np.arange(lo, min(lo + _CHUNK, stop), dtype=np.int64)[:, None] // radix
+        rows %= base
+        room = max(max_record - len(violations), 0)
+        live, n_bad, recorded, ratio, pos = _scan_rows(rows, threshold, slack, room)
+        nonzero += live
+        total_violations += n_bad
+        violations.extend(lo + i for i in recorded)
+        if ratio > best_ratio:
+            best_ratio = ratio
+            best_index = lo + pos
+    return nonzero, total_violations, violations, best_ratio, best_index
 
 
 def _check_scan_args(alpha, num_phases):
@@ -356,7 +156,6 @@ def scan_sequences_range(
     threshold: float,
     slack: float,
     max_record: int = 16,
-    backend: str | None = None,
 ):
     """Scan sequence indices [start, stop) in mixed-radix order.
 
@@ -372,18 +171,7 @@ def scan_sequences_range(
         )
     if start == stop:
         return 0, 0, [], -1.0, -1
-    use = active_backend(backend)
-    if use == "numba":
-        record = np.full(max_record, -1, dtype=np.int64)
-        nonzero, n_viol, best_ratio, best_index = _scan_range_numba(
-            alpha, num_phases, start, stop, threshold, slack, record
-        )
-        recorded = [int(i) for i in record[: min(n_viol, max_record)]]
-        return nonzero, int(n_viol), recorded, float(best_ratio), int(best_index)
-    nonzero, n_viol, recorded, best_ratio, best_index = _scan_range_numpy(
-        alpha, num_phases, start, stop, threshold, slack, max_record
-    )
-    return nonzero, n_viol, recorded, best_ratio, best_index
+    return _scan_range(alpha, num_phases, start, stop, threshold, slack, max_record)
 
 
 def scan_sequence_rows(
@@ -391,7 +179,6 @@ def scan_sequence_rows(
     threshold: float,
     slack: float,
     max_record: int = 16,
-    backend: str | None = None,
 ):
     """Scan explicit sequences (one per row); indices refer to row numbers."""
     rows = np.ascontiguousarray(rows, dtype=np.int64)
@@ -399,12 +186,4 @@ def scan_sequence_rows(
         raise InputError(f"expected a nonempty 2-d array of counts, got {rows.shape}")
     if rows.min() < 0:
         raise InputError("sequence counts must be nonnegative")
-    use = active_backend(backend)
-    if use == "numba":
-        record = np.full(max_record, -1, dtype=np.int64)
-        nonzero, n_viol, best_ratio, best_index = _scan_rows_numba(
-            rows, threshold, slack, record
-        )
-        recorded = [int(i) for i in record[: min(n_viol, max_record)]]
-        return nonzero, int(n_viol), recorded, float(best_ratio), int(best_index)
-    return _scan_rows_numpy(rows, threshold, slack, max_record)
+    return _scan_rows(rows, threshold, slack, max_record)

@@ -138,7 +138,6 @@ def exhaustive_verify(
     num_phases: int,
     budget: int = 10_000_000,
     seed: int = 0,
-    backend: str | None = None,
 ) -> VerificationReport:
     """Sweep the constraint box {0..alpha}^num_phases.
 
@@ -156,13 +155,14 @@ def exhaustive_verify(
     budget = int(budget)
     if budget < 1:
         raise InputError(f"budget must be positive, got {budget}")
+    seed = int(seed)
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     threshold = alpha_log_factor(alpha)
     total = (alpha + 1) ** num_phases
     if total <= budget:
-        nonzero, n_viol, recorded, best_ratio, best_index = (
-            kernels.scan_sequences_range(
-                alpha, num_phases, 0, total, threshold, RATIO_SLACK, backend=backend
-            )
+        nonzero, n_viol, recorded, best_ratio, best_index = kernels.scan_sequences_range(
+            alpha, num_phases, 0, total, threshold, RATIO_SLACK
         )
         checked = total
         violations = tuple(_decode_index(i, alpha, num_phases) for i in recorded)
@@ -171,10 +171,10 @@ def exhaustive_verify(
         )
         exhaustive = True
     else:
-        rng = np.random.default_rng(int(seed))
+        rng = np.random.default_rng(seed)
         rows = rng.integers(0, alpha + 1, size=(budget, num_phases), dtype=np.int64)
         nonzero, n_viol, recorded, best_ratio, best_index = kernels.scan_sequence_rows(
-            rows, threshold, RATIO_SLACK, backend=backend
+            rows, threshold, RATIO_SLACK
         )
         checked = budget
         violations = tuple(tuple(int(x) for x in rows[i]) for i in recorded)

@@ -3,7 +3,7 @@
 Each run gets an independent generator derived from (base_seed, run index).
 Within a round the episode loop draws one uniform per arm for the reward
 vector and, for Thompson sampling, one Beta sample per arm, so trajectories
-are fully determined by the stream regardless of backend.
+are fully determined by the stream.
 """
 from __future__ import annotations
 
@@ -79,6 +79,9 @@ class ExperimentConfig:
         num_runs = int(self.num_runs)
         if num_runs < 1:
             raise InputError(f"num_runs must be positive, got {num_runs}")
+        base_seed = int(self.base_seed)
+        if base_seed < 0:
+            raise InputError(f"seed must be nonnegative, got {base_seed}")
         if self.policy == "ts-n" and self.delta is not None:
             raise InputError("ts-n does not take a delta parameter")
         if self.checkpoints is None:
@@ -95,7 +98,7 @@ class ExperimentConfig:
                 )
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "num_runs", num_runs)
-        object.__setattr__(self, "base_seed", int(self.base_seed))
+        object.__setattr__(self, "base_seed", base_seed)
         object.__setattr__(self, "checkpoints", checkpoints)
         object.__setattr__(self, "mis_exact_limit", int(self.mis_exact_limit))
 
@@ -119,7 +122,6 @@ def run_episode(
     horizon: int,
     stream: np.random.Generator,
     delta: float | None = None,
-    backend: str | None = None,
 ) -> EpisodeResult:
     """Run one seeded episode and accumulate true gaps of the pulled arms.
 
@@ -144,7 +146,6 @@ def run_episode(
         horizon,
         stream,
         bonus=bonus,
-        backend=backend,
     )
     profile = gaps(instance)
     regret = np.cumsum(profile.gaps[pulls])
@@ -176,7 +177,7 @@ class RegretReport:
         return float(self.final_per_run.std(ddof=1) / math.sqrt(n))
 
 
-def run_experiment(config: ExperimentConfig, backend: str | None = None) -> RegretReport:
+def run_experiment(config: ExperimentConfig) -> RegretReport:
     """Run ``num_runs`` independent episodes and aggregate at checkpoints.
 
     Any failing run aborts the whole experiment; identical configs produce
@@ -193,7 +194,6 @@ def run_experiment(config: ExperimentConfig, backend: str | None = None) -> Regr
             config.horizon,
             stream,
             delta=config.delta,
-            backend=backend,
         )
         matrix[run] = episode.regret[idx]
         finals[run] = episode.regret[-1]
@@ -282,11 +282,7 @@ class SweepRow:
     gap_free_bound: float
 
 
-def sweep_alpha(
-    config: ExperimentConfig,
-    labeled_graphs,
-    backend: str | None = None,
-) -> list[SweepRow]:
+def sweep_alpha(config: ExperimentConfig, labeled_graphs) -> list[SweepRow]:
     """Rerun the experiment with the graph swapped, means and seeds fixed.
 
     Matched seeds mean matched reward draws, so differences across rows
@@ -304,9 +300,7 @@ def sweep_alpha(
         instance = BanditInstance(
             config.instance.means, graph, config.instance.family
         )
-        report = run_experiment(
-            dataclasses.replace(config, instance=instance), backend=backend
-        )
+        report = run_experiment(dataclasses.replace(config, instance=instance))
         rows.append(
             SweepRow(
                 label=str(label),

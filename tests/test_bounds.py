@@ -91,6 +91,11 @@ class TestHardness:
         inst = BanditInstance(np.array([0.9, 0.4, 0.4]), star(3))
         assert hardness(inst) == pytest.approx(4.0)
 
+    def test_gap_too_small_to_invert_names_the_arm(self):
+        inst = BanditInstance(np.array([1.0e-310, 0.0, 0.0]), edgeless(3))
+        with pytest.raises(InputError, match="arm 1: gap .* too small"):
+            hardness(inst)
+
     def test_dominates_every_single_arm(self):
         rng = np.random.default_rng(17)
         for _ in range(40):

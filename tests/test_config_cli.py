@@ -26,6 +26,14 @@ def config_dict(**overrides):
     return data
 
 
+def run_cli(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "graphbandits.cli", *args],
+        capture_output=True,
+        text=True,
+    )
+
+
 @pytest.fixture
 def config_file(tmp_path):
     def write(data=None, name="exp.yaml"):
@@ -168,26 +176,21 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", config_file()]) == 0
         assert (target / "regret.csv").exists()
 
-    def test_numpy_backend_flag(self, config_file, tmp_path):
-        code = main(
-            [
-                "simulate",
-                "--config",
-                config_file(),
-                "--out",
-                str(tmp_path / "np"),
-                "--backend",
-                "numpy",
-            ]
-        )
-        assert code == 0
-
     def test_missing_config_field_exits_two(self, config_file, capsys):
         data = config_dict()
         del data["instance"]["means"]
         code = main(["simulate", "--config", config_file(data)])
         assert code == 2
         assert "instance.means" in capsys.readouterr().err
+
+    def test_negative_seed_exits_two_without_traceback(self, config_file):
+        data = config_dict()
+        data["run"]["seed"] = -1
+        proc = run_cli("simulate", "--config", config_file(data))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert "seed must be nonnegative" in proc.stderr
 
     def test_unreadable_config_exits_two(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 2
@@ -324,6 +327,16 @@ class TestVerifyLemmaCommand:
     def test_bad_alpha_exits_two(self, capsys):
         assert main(["verify-lemma", "--alpha", "0", "--phases", "3"]) == 2
 
+    def test_negative_seed_exits_two_without_traceback(self):
+        proc = run_cli(
+            "verify-lemma", "--alpha", "3", "--phases", "20",
+            "--budget", "100", "--seed", "-1",
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert "seed must be nonnegative" in proc.stderr
+
 
 class TestSweepAlphaCommand:
     def test_stdout_table(self, config_file, capsys):
@@ -369,11 +382,6 @@ class TestParserPlumbing:
         assert command in capsys.readouterr().out
 
     def test_entry_point_script(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "graphbandits.cli",
-             "verify-lemma", "--alpha", "2", "--phases", "4"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("verify-lemma", "--alpha", "2", "--phases", "4")
         assert proc.returncode == 0
         assert "81 sequences, 0 violations" in proc.stdout

@@ -1,26 +1,13 @@
-"""Backend selection, fused-loop parity, and sequence-scan correctness.
+"""Fused episode loops and sequence-scan correctness.
 
-Every parity test runs the numba path against the numpy path on the same
-seeds and requires bit-identical output, and the episode loops are checked
-against the step-by-step policy objects composed by hand.
+The episode loops are checked against the step-by-step policy objects
+composed by hand, which must give bit-identical pulls and final state.
 """
 import numpy as np
 import pytest
 
-from graphbandits import (
-    BanditInstance,
-    CapabilityError,
-    ConfigError,
-    InputError,
-    complete,
-    cycle,
-    disjoint_cliques,
-    edgeless,
-)
+from graphbandits import BanditInstance, InputError, complete, cycle, edgeless
 from graphbandits.kernels import (
-    ENV_BACKEND,
-    HAVE_NUMBA,
-    active_backend,
     run_episode_arrays,
     scan_sequence_rows,
     scan_sequences_range,
@@ -28,92 +15,10 @@ from graphbandits.kernels import (
 
 from oracles import episode_by_hand
 
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-
-
-class TestActiveBackend:
-    def test_unset_resolves_automatically(self, monkeypatch):
-        monkeypatch.delenv(ENV_BACKEND, raising=False)
-        assert active_backend() == ("numba" if HAVE_NUMBA else "numpy")
-
-    def test_auto_alias(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "auto")
-        assert active_backend() == ("numba" if HAVE_NUMBA else "numpy")
-
-    def test_numpy_forced(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "numpy")
-        assert active_backend() == "numpy"
-
-    def test_case_and_whitespace(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "  NumPy ")
-        assert active_backend() == "numpy"
-
-    def test_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "numpy")
-        assert active_backend("auto") == ("numba" if HAVE_NUMBA else "numpy")
-
-    def test_unknown_backend(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "cuda")
-        with pytest.raises(ConfigError):
-            active_backend()
-
-    def test_numba_unavailable(self, monkeypatch):
-        monkeypatch.setattr("graphbandits.kernels.HAVE_NUMBA", False)
-        with pytest.raises(CapabilityError):
-            active_backend("numba")
-        assert active_backend("auto") == "numpy"
-
-
-def _episode(policy, means, graph, horizon, seed, backend):
-    adj = graph.adjacency_matrix()
-    gen = np.random.default_rng(seed)
-    bonus = 4.2 if policy != "ts-n" else 0.0
-    return run_episode_arrays(
-        policy, np.asarray(means), adj, horizon, gen, bonus=bonus, backend=backend
-    )
-
-
-@needs_numba
-class TestBackendParity:
-    @pytest.mark.parametrize("policy", ["ucb-n", "ucb1", "ts-n"])
-    @pytest.mark.parametrize(
-        "graph", [complete(6), edgeless(6), cycle(6), disjoint_cliques((3, 3))]
-    )
-    def test_episodes_bit_identical(self, policy, graph):
-        means = [0.9, 0.7, 0.55, 0.4, 0.25, 0.1]
-        for seed in (0, 1, 99):
-            a = _episode(policy, means, graph, 500, seed, "numba")
-            b = _episode(policy, means, graph, 500, seed, "numpy")
-            for got, want in zip(a, b):
-                assert np.array_equal(got, want)
-
-    def test_range_scan_identical(self):
-        for alpha, phases in ((1, 6), (2, 4), (4, 3), (6, 2)):
-            total = (alpha + 1) ** phases
-            a = scan_sequences_range(
-                alpha, phases, 0, total, float(np.log2(alpha)) + 3.0, 1e-9,
-                backend="numba",
-            )
-            b = scan_sequences_range(
-                alpha, phases, 0, total, float(np.log2(alpha)) + 3.0, 1e-9,
-                backend="numpy",
-            )
-            assert a == b
-
-    def test_row_scan_identical(self):
-        rng = np.random.default_rng(8)
-        rows = rng.integers(0, 5, size=(4000, 6), dtype=np.int64)
-        a = scan_sequence_rows(rows, 5.0, 1e-9, backend="numba")
-        b = scan_sequence_rows(rows, 5.0, 1e-9, backend="numpy")
-        assert a == b
-
 
 class TestEpisodeAgainstByHand:
     @pytest.mark.parametrize("policy", ["ucb-n", "ucb1", "ts-n"])
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
-    def test_same_trajectory_and_state(self, policy, backend):
-        if backend == "numba" and not HAVE_NUMBA:
-            pytest.skip("numba not installed")
+    def test_same_trajectory_and_state(self, policy):
         means = np.array([0.85, 0.6, 0.6, 0.3, 0.15])
         graph = cycle(5)
         inst = BanditInstance(means, graph)
@@ -125,8 +30,7 @@ class TestEpisodeAgainstByHand:
         gen = np.random.default_rng(12345)
         bonus = policy_obj.bonus if policy != "ts-n" else 0.0
         pulls, state_a, state_b = run_episode_arrays(
-            policy, means, graph.adjacency_matrix(), horizon, gen,
-            bonus=bonus, backend=backend,
+            policy, means, graph.adjacency_matrix(), horizon, gen, bonus=bonus
         )
         assert np.array_equal(pulls, want_pulls)
         if policy == "ts-n":
@@ -140,12 +44,10 @@ class TestEpisodeAgainstByHand:
         means = np.array([0.8, 0.5, 0.5])
         adj = complete(3).adjacency_matrix()
         _, counts_n, _ = run_episode_arrays(
-            "ucb-n", means, adj, 120, np.random.default_rng(5), bonus=3.0,
-            backend="numpy",
+            "ucb-n", means, adj, 120, np.random.default_rng(5), bonus=3.0
         )
         _, counts_1, _ = run_episode_arrays(
-            "ucb1", means, adj, 120, np.random.default_rng(5), bonus=3.0,
-            backend="numpy",
+            "ucb1", means, adj, 120, np.random.default_rng(5), bonus=3.0
         )
         assert counts_n.sum() == 3 * 120  # every pull feeds all three arms
         assert counts_1.sum() == 120
@@ -164,7 +66,7 @@ class TestSequenceScans:
     def test_small_box_by_direct_count(self):
         # alpha=1, two phases: sequences (c1, c2) with terms 2*c1 + 4*c2
         nonzero, n_viol, recorded, best_ratio, best_index = scan_sequences_range(
-            1, 2, 0, 4, threshold=3.0, slack=1e-9, backend="numpy"
+            1, 2, 0, 4, threshold=3.0, slack=1e-9
         )
         assert nonzero == 3
         assert n_viol == 0
@@ -177,26 +79,19 @@ class TestSequenceScans:
         # with threshold 1.0 every multi-band sequence violates; for
         # alpha=1, phases=2 only (1,1) has two nonzero terms
         nonzero, n_viol, recorded, best_ratio, best_index = scan_sequences_range(
-            1, 2, 0, 4, threshold=1.0, slack=1e-9, backend="numpy"
+            1, 2, 0, 4, threshold=1.0, slack=1e-9
         )
         assert n_viol == 1
         assert recorded == [3]
 
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
-    def test_range_splitting_merges_to_full_scan(self, backend):
-        if backend == "numba" and not HAVE_NUMBA:
-            pytest.skip("numba not installed")
+    def test_range_splitting_merges_to_full_scan(self):
         alpha, phases = 3, 4
         total = (alpha + 1) ** phases
         threshold = float(np.log2(alpha)) + 3.0
-        full = scan_sequences_range(
-            alpha, phases, 0, total, threshold, 1e-9, backend=backend
-        )
+        full = scan_sequences_range(alpha, phases, 0, total, threshold, 1e-9)
         cut = total // 3
         parts = [
-            scan_sequences_range(
-                alpha, phases, lo, hi, threshold, 1e-9, backend=backend
-            )
+            scan_sequences_range(alpha, phases, lo, hi, threshold, 1e-9)
             for lo, hi in ((0, cut), (cut, 2 * cut), (2 * cut, total))
         ]
         assert sum(p[0] for p in parts) == full[0]
@@ -207,17 +102,42 @@ class TestSequenceScans:
     def test_chunk_boundary_keeps_earliest_best(self):
         # ratios tie across chunks; the scan must keep the first index
         nonzero, _, _, best_ratio, best_index = scan_sequences_range(
-            1, 17, 0, 2**17, threshold=10.0, slack=1e-9, backend="numpy"
+            1, 17, 0, 2**17, threshold=10.0, slack=1e-9
         )
         # single-count sequences all have ratio 1 until a two-count index
         assert best_index >= 0
         again = scan_sequences_range(
-            1, 17, 0, 2**17, threshold=10.0, slack=1e-9, backend="numpy"
+            1, 17, 0, 2**17, threshold=10.0, slack=1e-9
         )
         assert again[4] == best_index
 
+    @pytest.mark.parametrize("max_record", [0, 3, 100])
+    def test_small_chunks_match_direct_enumeration(self, monkeypatch, max_record):
+        # chunks of 7 put violations and ratio ties on every chunk boundary
+        monkeypatch.setattr("graphbandits.kernels._CHUNK", 7)
+        alpha, phases, start, stop, threshold = 2, 4, 5, 70, 2.0
+        ratios, bad = {}, []
+        for i in range(start, stop):
+            counts = [(i // 3**p) % 3 for p in range(phases)]
+            terms = [c * 2 ** (p + 1) for p, c in enumerate(counts)]
+            if max(terms) > 0:
+                ratios[i] = sum(terms) / max(terms)
+                if sum(terms) > threshold * max(terms):
+                    bad.append(i)
+        best = max(ratios.values())
+        got = scan_sequences_range(
+            alpha, phases, start, stop, threshold, 0.0, max_record=max_record
+        )
+        assert got == (
+            len(ratios),
+            len(bad),
+            bad[:max_record],
+            best,
+            min(i for i, r in ratios.items() if r == best),
+        )
+
     def test_empty_range(self):
-        got = scan_sequences_range(2, 3, 5, 5, 4.0, 1e-9, backend="numpy")
+        got = scan_sequences_range(2, 3, 5, 5, 4.0, 1e-9)
         assert got == (0, 0, [], -1.0, -1)
 
     def test_range_validation(self):
