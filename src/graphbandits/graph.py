@@ -7,6 +7,7 @@ ignored by all independence computations.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,8 +17,13 @@ from .errors import CapabilityError, InputError
 
 DEFAULT_EXACT_LIMIT = 30
 
+# Largest arm count a graph may have. The simulator builds a K x K boolean
+# adjacency matrix, which at this limit takes 256 MiB.
+MAX_ARMS = 2**14
+
 __all__ = [
     "DEFAULT_EXACT_LIMIT",
+    "MAX_ARMS",
     "FeedbackGraph",
     "IndependentSetResult",
     "complete",
@@ -40,6 +46,8 @@ class FeedbackGraph:
     def __init__(self, num_arms: int, edges=()):
         if num_arms < 0:
             raise InputError(f"num_arms must be nonnegative, got {num_arms}")
+        if num_arms > MAX_ARMS:
+            raise InputError(f"num_arms must be at most {MAX_ARMS}, got {num_arms}")
         sets = [{a} for a in range(num_arms)]
         for a, b in edges:
             a, b = int(a), int(b)
@@ -274,10 +282,14 @@ def _require_arms(k: int) -> int:
     return k
 
 
+# The families below hand FeedbackGraph lazy edge generators, so that an arm
+# count above MAX_ARMS is refused before any edge is made.
+
+
 def complete(num_arms: int) -> FeedbackGraph:
     """Every pair of arms connected; pulling anything reveals everything."""
     k = _require_arms(num_arms)
-    return FeedbackGraph(k, [(a, b) for a in range(k) for b in range(a + 1, k)])
+    return FeedbackGraph(k, ((a, b) for a in range(k) for b in range(a + 1, k)))
 
 
 def edgeless(num_arms: int) -> FeedbackGraph:
@@ -287,13 +299,13 @@ def edgeless(num_arms: int) -> FeedbackGraph:
 
 def cycle(num_arms: int) -> FeedbackGraph:
     k = _require_arms(num_arms)
-    return FeedbackGraph(k, [(a, (a + 1) % k) for a in range(k)])
+    return FeedbackGraph(k, ((a, (a + 1) % k) for a in range(k)))
 
 
 def star(num_arms: int) -> FeedbackGraph:
     """Arm 0 is the hub, connected to every leaf."""
     k = _require_arms(num_arms)
-    return FeedbackGraph(k, [(0, a) for a in range(1, k)])
+    return FeedbackGraph(k, ((0, a) for a in range(1, k)))
 
 
 def disjoint_cliques(sizes) -> FeedbackGraph:
@@ -304,14 +316,13 @@ def disjoint_cliques(sizes) -> FeedbackGraph:
     for s in sizes:
         if s < 1:
             raise InputError(f"clique sizes must be positive, got {s}")
-    edges = []
-    offset = 0
-    for s in sizes:
-        edges.extend(
-            (offset + a, offset + b) for a in range(s) for b in range(a + 1, s)
-        )
-        offset += s
-    return FeedbackGraph(offset, edges)
+    edges = (
+        (offset + a, offset + b)
+        for offset, s in zip(itertools.accumulate(sizes, initial=0), sizes)
+        for a in range(s)
+        for b in range(a + 1, s)
+    )
+    return FeedbackGraph(sum(sizes), edges)
 
 
 def erdos_renyi(num_arms: int, p: float, seed: int) -> FeedbackGraph:
@@ -321,12 +332,12 @@ def erdos_renyi(num_arms: int, p: float, seed: int) -> FeedbackGraph:
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(int(seed))
-    edges = [
+    edges = (
         (a, b)
         for a in range(k)
         for b in range(a + 1, k)
         if rng.random() < p
-    ]
+    )
     return FeedbackGraph(k, edges)
 
 

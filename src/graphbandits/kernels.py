@@ -1,18 +1,32 @@
-"""Hot numeric loops: the fused episode loops and the band-sequence scans.
+"""Hot numeric loops: the batched episode loops and the band-sequence scans.
 
-Episode loops draw, per round, one uniform per arm (the reward vector) and,
-for Thompson sampling, one Beta sample per arm, in arm order. The policy
-objects in ``policies`` follow the same protocol, which keeps the fused
-loops and the step-by-step path on identical trajectories.
+An episode batch advances ``num_runs`` runs on each of G graphs together,
+one numpy step per round on (G, runs, K) state arrays. Each run reads its
+own generator. Every round draws one uniform per arm (the reward vector)
+and, for Thompson sampling, one Beta sample per arm, in arm order; the
+policy objects in ``policies`` follow the same protocol, which keeps the
+batched loops and the step-by-step path on identical trajectories.
+
+The UCB policies draw no other randomness, so a run takes its uniforms in
+``(n, K)`` blocks, which use the same stream as n calls of ``random(K)``,
+and every graph of the batch reads the same block: matched seeds mean
+matched rewards. The last block stops at the horizon, so a generator ends
+where the one-round-at-a-time loop would leave it. Thompson sampling keeps
+the per-round interleave of ``random(K)`` and ``beta(...)`` on each
+(graph, run) generator; only its argmax and its updates are batched.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 
 __all__ = [
+    "EpisodeBatch",
     "run_episode_arrays",
+    "run_episode_batch",
     "scan_sequence_rows",
     "scan_sequences_range",
 ]
@@ -21,45 +35,208 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # episode loops
 
-
-def _ucb_episode(means, adj, horizon, bonus, neighbor_updates, gen):
-    num_arms = means.shape[0]
-    counts = np.zeros(num_arms, dtype=np.float64)
-    sums = np.zeros(num_arms, dtype=np.float64)
-    pulls = np.empty(horizon, dtype=np.int64)
-    for t in range(horizon):
-        u = gen.random(num_arms)
-        denom = np.maximum(counts, 1.0)
-        index = sums / denom + np.sqrt(bonus / denom)
-        index[counts == 0.0] = np.inf
-        arm = int(np.argmax(index))
-        pulls[t] = arm
-        if neighbor_updates:
-            row = adj[arm]
-            counts[row] += 1.0
-            sums[row] += u[row] < means[row]
-        else:
-            counts[arm] += 1.0
-            if u[arm] < means[arm]:
-                sums[arm] += 1.0
-    return pulls, counts, sums
+# Uniform doubles held per block of rounds, summed over the runs of a batch.
+_BLOCK_DOUBLES = 1 << 15
 
 
-def _ts_episode(means, adj, horizon, gen):
-    num_arms = means.shape[0]
-    succ = np.zeros(num_arms, dtype=np.float64)
-    fail = np.zeros(num_arms, dtype=np.float64)
-    pulls = np.empty(horizon, dtype=np.int64)
-    for t in range(horizon):
-        u = gen.random(num_arms)
-        theta = gen.beta(succ + 1.0, fail + 1.0)
-        arm = int(np.argmax(theta))
-        pulls[t] = arm
-        row = adj[arm]
-        wins = (u[row] < means[row]).astype(np.float64)
-        succ[row] += wins
-        fail[row] += 1.0 - wins
-    return pulls, succ, fail
+@dataclass(frozen=True, eq=False)
+class EpisodeBatch:
+    """Outcome of a batch of episodes, indexed (graph, run, ...).
+
+    ``marked`` holds the cumulative pseudo-regret after each marked round,
+    ``final`` the regret after the last round. ``pulls`` has shape
+    (horizon, graphs, runs) and is kept only when asked for. The state
+    arrays are counts and reward sums for the UCB policies, success and
+    failure counts for Thompson sampling.
+    """
+
+    marked: np.ndarray
+    final: np.ndarray
+    pulls: np.ndarray | None
+    state_a: np.ndarray
+    state_b: np.ndarray
+
+
+class _Regret:
+    """Pulled arms of one block of rounds, folded into running regret.
+
+    The loops write each round's arms into ``arms``; ``fold`` prepends the
+    running regret to the block's gaps and takes their cumulative sum along
+    the rounds, which adds in the order ``np.cumsum`` over a whole episode
+    does, so the values kept at the marked rounds match it bit for bit.
+    """
+
+    def __init__(self, gaps, marks, shape, block, pulls):
+        self.gaps = gaps
+        self.marks = marks
+        self.pulls = pulls
+        self.arms = np.empty((block, *shape), dtype=np.int64)
+        self.steps = np.zeros((block + 1, *shape), dtype=np.float64)
+        self.marked = np.empty((*shape, len(marks)), dtype=np.float64)
+        self._next = 0
+
+    def fold(self, start, n):
+        steps = self.steps[: n + 1]
+        steps[0] = self.steps[-1]
+        np.take(self.gaps, self.arms[:n], out=steps[1:])
+        np.cumsum(steps, axis=0, out=steps)
+        self.steps[-1] = steps[n]
+        marks = self.marks
+        while self._next < len(marks) and marks[self._next] < start + n:
+            self.marked[..., self._next] = steps[marks[self._next] - start + 1]
+            self._next += 1
+        if self.pulls is not None:
+            self.pulls[start : start + n] = self.arms[:n]
+
+    @property
+    def running(self):
+        return self.steps[-1]
+
+
+def _blocks(horizon, block):
+    """(first round, length) of each block, the last one cut at the horizon."""
+    return ((t, min(block, horizon - t)) for t in range(0, horizon, block))
+
+
+def _ucb_batch(means, adj, horizon, bonus, neighbor_updates, gens, regret):
+    num_graphs, num_arms = adj.shape[0], adj.shape[1]
+    num_runs = len(gens)
+    shape = (num_graphs, num_runs, num_arms)
+    counts = np.zeros(shape, dtype=np.float64)
+    sums = np.zeros(shape, dtype=np.float64)
+    index = np.empty(shape, dtype=np.float64)
+    floor = np.empty(shape, dtype=np.float64)
+    width = np.empty(shape, dtype=np.float64)
+    unseen = np.empty(shape, dtype=np.bool_)
+    rows = adj.reshape(num_graphs * num_arms, num_arms)
+    # offsets of graph g's rows in the stacked adjacency, and of episode
+    # (g, run)'s arms in the flat state arrays
+    row_base = (np.arange(num_graphs, dtype=np.int64) * num_arms)[:, None]
+    state_base = np.arange(num_graphs * num_runs, dtype=np.int64).reshape(
+        num_graphs, num_runs
+    ) * num_arms
+    run_index = np.arange(num_runs, dtype=np.int64)
+    flat_counts = counts.reshape(-1)
+    flat_sums = sums.reshape(-1)
+    block = regret.arms.shape[0]
+    uniforms = np.empty((num_runs, block, num_arms), dtype=np.float64)
+    # wins[i, run] is run's reward vector in round i of the block
+    wins = np.empty((block, num_runs, num_arms), dtype=np.bool_)
+    arms = regret.arms
+    for start, n in _blocks(horizon, block):
+        for run, gen in enumerate(gens):
+            gen.random(out=uniforms[run, :n])
+        np.less(uniforms[:, :n].transpose(1, 0, 2), means, out=wins[:n])
+        for i in range(n):
+            # each of the first K rounds pulls an arm nobody has seen yet,
+            # if one is left, so from round K on every count is at least 1
+            early = start + i < num_arms
+            denom = np.maximum(counts, 1.0, out=floor) if early else counts
+            np.divide(sums, denom, out=index)
+            np.divide(bonus, denom, out=width)
+            np.sqrt(width, out=width)
+            index += width
+            if early:
+                np.equal(counts, 0.0, out=unseen)
+                index[unseen] = np.inf
+            arm = index.argmax(axis=2)
+            if neighbor_updates:
+                observed = rows.take(row_base + arm, axis=0)
+                counts += observed
+                observed &= wins[i]
+                sums += observed
+            else:
+                at = state_base + arm
+                flat_counts[at] += 1.0
+                flat_sums[at] += wins[i][run_index, arm]
+            arms[i] = arm
+        regret.fold(start, n)
+    return counts, sums
+
+
+def _ts_batch(means, adj, horizon, gens, regret):
+    num_graphs, num_arms = adj.shape[0], adj.shape[1]
+    num_runs = len(gens) // num_graphs
+    shape = (num_graphs, num_runs, num_arms)
+    # Beta parameters: successes + 1 and failures + 1, exact in float64
+    a = np.ones(shape, dtype=np.float64)
+    b = np.ones(shape, dtype=np.float64)
+    u = np.empty(shape, dtype=np.float64)
+    theta = np.empty(shape, dtype=np.float64)
+    rows = adj.reshape(num_graphs * num_arms, num_arms)
+    row_base = (np.arange(num_graphs, dtype=np.int64) * num_arms)[:, None]
+    flat_u = u.reshape(-1, num_arms)
+    flat_a = a.reshape(-1, num_arms)
+    flat_b = b.reshape(-1, num_arms)
+    flat_theta = theta.reshape(-1, num_arms)
+    arms = regret.arms
+    for start, n in _blocks(horizon, arms.shape[0]):
+        for i in range(n):
+            for e, gen in enumerate(gens):
+                gen.random(out=flat_u[e])
+                flat_theta[e] = gen.beta(flat_a[e], flat_b[e])
+            arm = theta.argmax(axis=2)
+            observed = rows.take(row_base + arm, axis=0)
+            win = u < means
+            lose = ~win
+            win &= observed
+            lose &= observed
+            a += win
+            b += lose
+            arms[i] = arm
+        regret.fold(start, n)
+    return a - 1.0, b - 1.0
+
+
+def run_episode_batch(
+    policy: str,
+    means: np.ndarray,
+    adj: np.ndarray,
+    horizon: int,
+    stream,
+    num_runs: int,
+    bonus: float = 0.0,
+    gaps: np.ndarray | None = None,
+    marks=(),
+    keep_pulls: bool = False,
+) -> EpisodeBatch:
+    """Run ``num_runs`` episodes on each graph of ``adj`` (shape (G, K, K)).
+
+    ``stream(run)`` returns a fresh generator for run ``run``. The UCB
+    policies call it once per run and share the run's uniforms across the
+    graphs; ``ts-n`` calls it once per (graph, run). Regret adds up
+    ``gaps`` of the pulled arms (zero when not given) and is recorded after
+    each round listed in ``marks`` (0-based, increasing). ``bonus`` is the
+    squared exploration width times n and is ignored by ``ts-n``.
+    """
+    means = np.ascontiguousarray(means, dtype=np.float64)
+    adj = np.ascontiguousarray(adj, dtype=np.bool_)
+    horizon = int(horizon)
+    if horizon < 1:
+        raise InputError(f"horizon must be positive, got {horizon}")
+    if policy not in ("ucb-n", "ucb1", "ts-n"):
+        raise InputError(f"unknown policy {policy!r}")
+    marks = [int(m) for m in marks]
+    if marks != sorted(set(marks)) or not all(0 <= m < horizon for m in marks):
+        raise InputError(
+            f"marks must be increasing rounds in [0, {horizon - 1}], got {marks}"
+        )
+    num_graphs, num_arms = adj.shape[0], means.shape[0]
+    shape = (num_graphs, int(num_runs))
+    if gaps is None:
+        gaps = np.zeros(num_arms, dtype=np.float64)
+    block = max(1, min(horizon, _BLOCK_DOUBLES // (shape[1] * num_arms)))
+    pulls = np.empty((horizon, *shape), dtype=np.int64) if keep_pulls else None
+    regret = _Regret(np.asarray(gaps, dtype=np.float64), marks, shape, block, pulls)
+    if policy == "ts-n":
+        gens = [stream(run) for _ in range(num_graphs) for run in range(shape[1])]
+        state = _ts_batch(means, adj, horizon, gens, regret)
+    else:
+        gens = [stream(run) for run in range(shape[1])]
+        state = _ucb_batch(
+            means, adj, horizon, float(bonus), policy == "ucb-n", gens, regret
+        )
+    return EpisodeBatch(regret.marked, regret.running.copy(), pulls, *state)
 
 
 def run_episode_arrays(
@@ -75,17 +252,20 @@ def run_episode_arrays(
     For the UCB policies the state arrays are observation counts and reward
     sums; for Thompson sampling they are success and failure counts. ``bonus``
     is the squared exploration width times n and is ignored by ``ts-n``.
+    This is the one-graph, one-run call of ``run_episode_batch``; it leaves
+    ``gen`` where ``horizon`` rounds of the draw protocol leave it.
     """
-    means = np.ascontiguousarray(means, dtype=np.float64)
-    adj = np.ascontiguousarray(adj, dtype=np.bool_)
-    horizon = int(horizon)
-    if horizon < 1:
-        raise InputError(f"horizon must be positive, got {horizon}")
-    if policy == "ucb-n" or policy == "ucb1":
-        return _ucb_episode(means, adj, horizon, float(bonus), policy == "ucb-n", gen)
-    if policy == "ts-n":
-        return _ts_episode(means, adj, horizon, gen)
-    raise InputError(f"unknown policy {policy!r}")
+    batch = run_episode_batch(
+        policy,
+        means,
+        np.asarray(adj)[None],
+        horizon,
+        lambda run: gen,
+        1,
+        bonus=bonus,
+        keep_pulls=True,
+    )
+    return batch.pulls[:, 0, 0], batch.state_a[0, 0], batch.state_b[0, 0]
 
 
 # ---------------------------------------------------------------------------

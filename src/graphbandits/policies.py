@@ -3,7 +3,7 @@
 Each policy exposes ``select`` and ``update``. ``update`` takes the
 observation list produced by ``env.observe`` so that policies never touch
 unobserved rewards. These objects are the step-by-step reference path; the
-fused episode loops in ``kernels`` consume the same random stream and make
+batched episode loops in ``kernels`` consume the same random stream and make
 identical decisions.
 """
 from __future__ import annotations

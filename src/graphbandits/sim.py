@@ -4,6 +4,15 @@ Each run gets an independent generator derived from (base_seed, run index).
 Within a round the episode loop draws one uniform per arm for the reward
 vector and, for Thompson sampling, one Beta sample per arm, so trajectories
 are fully determined by the stream.
+
+``run_experiment`` advances all its runs together in one batched loop
+(``kernels.run_episode_batch``), and ``sweep_alpha`` advances every
+(graph, run) pair of the sweep in one such loop. Each run keeps its own
+generator: the UCB policies read its uniforms in blocks shared by every
+graph, and Thompson sampling keeps its per-round interleave of uniforms and
+Beta draws, so every run follows the trajectory it has when run alone.
+Only the regret at the checkpoints is kept, so memory does not grow with
+horizon x runs; ``run_episode`` alone returns a whole trajectory.
 """
 from __future__ import annotations
 
@@ -177,38 +186,46 @@ class RegretReport:
         return float(self.final_per_run.std(ddof=1) / math.sqrt(n))
 
 
-def run_experiment(config: ExperimentConfig) -> RegretReport:
-    """Run ``num_runs`` independent episodes and aggregate at checkpoints.
-
-    Any failing run aborts the whole experiment; identical configs produce
-    identical reports.
-    """
-    idx = np.asarray(config.checkpoints, dtype=np.int64) - 1
-    matrix = np.empty((config.num_runs, idx.size), dtype=np.float64)
-    finals = np.empty(config.num_runs, dtype=np.float64)
-    for run in range(config.num_runs):
-        stream = episode_stream(config.base_seed, run)
-        episode = run_episode(
-            config.instance,
-            config.policy,
-            config.horizon,
-            stream,
-            delta=config.delta,
-        )
-        matrix[run] = episode.regret[idx]
-        finals[run] = episode.regret[-1]
-    mean = matrix.mean(axis=0)
-    if config.num_runs > 1:
-        stderr = matrix.std(axis=0, ddof=1) / math.sqrt(config.num_runs)
+def _run_batch(config: ExperimentConfig, graphs) -> kernels.EpisodeBatch:
+    """Run every run of ``config`` on every graph, with matched seeds."""
+    instance = config.instance
+    if config.policy == "ts-n":
+        bonus = 0.0
     else:
-        stderr = np.zeros(idx.size, dtype=np.float64)
-    overlay = bound_report(
-        config.instance,
+        bonus = exploration_bonus(instance.num_arms, config.horizon, config.delta)
+    matrices = [graph.adjacency_matrix() for graph in graphs]
+    # a single matrix is viewed, not copied: at the arm limit it is 256 MiB
+    adj = matrices[0][None] if len(matrices) == 1 else np.stack(matrices)
+    return kernels.run_episode_batch(
+        config.policy,
+        instance.means,
+        adj,
+        config.horizon,
+        lambda run: episode_stream(config.base_seed, run),
+        config.num_runs,
+        bonus=bonus,
+        gaps=gaps(instance).gaps,
+        marks=[c - 1 for c in config.checkpoints],
+    )
+
+
+def _bounds(config: ExperimentConfig, instance: BanditInstance) -> BoundReport:
+    return bound_report(
+        instance,
         config.horizon,
         config.delta,
         exact_limit=config.mis_exact_limit,
         allow_approximate=config.allow_approximate_mis,
     )
+
+
+def _report(config, matrix, finals, overlay) -> RegretReport:
+    """Aggregate per-run checkpoint regret (runs x checkpoints)."""
+    mean = matrix.mean(axis=0)
+    if config.num_runs > 1:
+        stderr = matrix.std(axis=0, ddof=1) / math.sqrt(config.num_runs)
+    else:
+        stderr = np.zeros(matrix.shape[1], dtype=np.float64)
     return RegretReport(
         config=config,
         checkpoints=config.checkpoints,
@@ -219,6 +236,17 @@ def run_experiment(config: ExperimentConfig) -> RegretReport:
         final_per_run=finals,
         bounds=overlay,
     )
+
+
+def run_experiment(config: ExperimentConfig) -> RegretReport:
+    """Run ``num_runs`` independent episodes and aggregate at checkpoints.
+
+    Any failing run aborts the whole experiment; identical configs produce
+    identical reports.
+    """
+    overlay = _bounds(config, config.instance)
+    batch = _run_batch(config, [config.instance.graph])
+    return _report(config, batch.marked[0], batch.final[0], overlay)
 
 
 def _fmt(x: float) -> str:
@@ -286,10 +314,12 @@ def sweep_alpha(config: ExperimentConfig, labeled_graphs) -> list[SweepRow]:
     """Rerun the experiment with the graph swapped, means and seeds fixed.
 
     Matched seeds mean matched reward draws, so differences across rows
-    isolate the information structure.
+    isolate the information structure. Every graph is checked, and its
+    bounds computed, before any episode runs.
     """
-    rows = []
-    for label, graph in labeled_graphs:
+    labeled = list(labeled_graphs)
+    instances = []
+    for label, graph in labeled:
         if not isinstance(graph, FeedbackGraph):
             raise InputError(f"{label!r}: expected a FeedbackGraph")
         if graph.num_arms != config.instance.num_arms:
@@ -297,10 +327,21 @@ def sweep_alpha(config: ExperimentConfig, labeled_graphs) -> list[SweepRow]:
                 f"{label!r}: graph has {graph.num_arms} arms but the instance "
                 f"has {config.instance.num_arms}"
             )
-        instance = BanditInstance(
-            config.instance.means, graph, config.instance.family
+        instances.append(
+            BanditInstance(config.instance.means, graph, config.instance.family)
         )
-        report = run_experiment(dataclasses.replace(config, instance=instance))
+    if not labeled:
+        return []
+    overlays = [_bounds(config, instance) for instance in instances]
+    batch = _run_batch(config, [graph for _, graph in labeled])
+    rows = []
+    for g, (label, _) in enumerate(labeled):
+        report = _report(
+            dataclasses.replace(config, instance=instances[g]),
+            batch.marked[g],
+            batch.final[g],
+            overlays[g],
+        )
         rows.append(
             SweepRow(
                 label=str(label),

@@ -1,11 +1,15 @@
 """YAML config loading and the command-line surface, including exit codes."""
+import os
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import graphbandits
 from graphbandits import (
     ConfigError,
     disjoint_cliques,
@@ -26,11 +30,21 @@ def config_dict(**overrides):
     return data
 
 
-def run_cli(*args):
+# the CLI subprocesses import the same package as the tests, installed or not
+_SRC = str(Path(graphbandits.__file__).resolve().parents[1])
+_CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])),
+}
+
+
+def run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "graphbandits.cli", *args],
         capture_output=True,
         text=True,
+        env=_CLI_ENV,
+        **kwargs,
     )
 
 
@@ -280,6 +294,33 @@ class TestMisCommand:
     def test_bad_spec_exits_two(self, capsys):
         assert main(["mis", "--graph", "torus:5"]) == 2
         assert "input error" in capsys.readouterr().err
+
+    @staticmethod
+    def _run_capped(*args):
+        # 2 GiB of address space: without the arm limit these specs end in
+        # a MemoryError traceback instead of taking the machine's memory
+        cap = 2 << 30
+        return run_cli(
+            *args,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+
+    def _assert_arm_limit_error(self, proc):
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert "num_arms must be at most 16384" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "spec", ["complete:100000000000", "cliques:100000000000", "er:100000000000,0.5,1"]
+    )
+    def test_huge_family_arm_count_exits_two(self, spec):
+        self._assert_arm_limit_error(self._run_capped("mis", "--graph", spec))
+
+    def test_huge_file_arm_count_exits_two(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("100000000000\n")
+        self._assert_arm_limit_error(self._run_capped("mis", "--graph", f"file:{path}"))
 
 
 class TestVerifyLemmaCommand:

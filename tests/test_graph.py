@@ -253,6 +253,19 @@ class TestGenerators:
         with pytest.raises(InputError):
             disjoint_cliques((3, 0))
 
+    @pytest.mark.parametrize("family", ["edgeless", "cycle", "star", "file"])
+    def test_arm_limit(self, family, tmp_path):
+        # families whose graphs stay small one arm past the limit; the dense
+        # ones are run at 10^11 arms under a memory cap in the CLI tests
+        from graphbandits.graph import MAX_ARMS
+
+        path = tmp_path / "edges.txt"
+        path.write_text(f"{MAX_ARMS + 1}\n0-1\n")
+        rest = str(path) if family == "file" else str(MAX_ARMS + 1)
+        with pytest.raises(InputError, match=f"at most {MAX_ARMS}, got {MAX_ARMS + 1}"):
+            parse_graph_spec(f"{family}:{rest}")
+        assert FeedbackGraph(MAX_ARMS).num_arms == MAX_ARMS
+
     def test_erdos_renyi_deterministic(self):
         a = erdos_renyi(10, 0.4, seed=5)
         b = erdos_renyi(10, 0.4, seed=5)

@@ -1,14 +1,27 @@
-"""Fused episode loops and sequence-scan correctness.
+"""Batched episode loops and sequence-scan correctness.
 
 The episode loops are checked against the step-by-step policy objects
-composed by hand, which must give bit-identical pulls and final state.
+composed by hand, one episode per run, which must give bit-identical pulls,
+regret and final state.
 """
 import numpy as np
 import pytest
 
-from graphbandits import BanditInstance, InputError, complete, cycle, edgeless
+from graphbandits import (
+    BanditInstance,
+    InputError,
+    complete,
+    cycle,
+    disjoint_cliques,
+    edgeless,
+    episode_stream,
+    exploration_bonus,
+    gaps,
+)
+from graphbandits import kernels
 from graphbandits.kernels import (
     run_episode_arrays,
+    run_episode_batch,
     scan_sequence_rows,
     scan_sequences_range,
 )
@@ -60,6 +73,114 @@ class TestEpisodeAgainstByHand:
             run_episode_arrays("exp3", means, adj, 10, gen)
         with pytest.raises(InputError):
             run_episode_arrays("ucb-n", means, adj, 0, gen)
+
+
+# delta is fixed so that a horizon of 1 still has a valid exploration bonus
+DELTA = 1.0 / 64
+
+
+def _batch(policy, instance, graphs, horizon, num_runs, seed, marks):
+    if policy == "ts-n":
+        bonus = 0.0
+    else:
+        bonus = exploration_bonus(instance.num_arms, horizon, DELTA)
+    return run_episode_batch(
+        policy,
+        instance.means,
+        np.stack([g.adjacency_matrix() for g in graphs]),
+        horizon,
+        lambda run: episode_stream(seed, run),
+        num_runs,
+        bonus=bonus,
+        gaps=gaps(instance).gaps,
+        marks=marks,
+    ), bonus
+
+
+def _check_against_by_hand(policy, instance, graphs, horizon, num_runs, seed, marks):
+    batch, bonus = _batch(policy, instance, graphs, horizon, num_runs, seed, marks)
+    assert batch.marked.shape == (len(graphs), num_runs, len(marks))
+    for g, graph in enumerate(graphs):
+        inst = BanditInstance(instance.means, graph)
+        for run in range(num_runs):
+            _, regret, obj = episode_by_hand(
+                inst, policy, horizon, episode_stream(seed, run),
+                delta=None if policy == "ts-n" else DELTA,
+            )
+            if policy != "ts-n":
+                assert obj.bonus == bonus
+            assert batch.marked[g, run].tolist() == regret[list(marks)].tolist()
+            assert batch.final[g, run] == regret[-1]
+            if policy == "ts-n":
+                state = (obj.successes, obj.failures)
+            else:
+                state = (obj.counts, obj.sums)
+            assert np.array_equal(batch.state_a[g, run], state[0])
+            assert np.array_equal(batch.state_b[g, run], state[1])
+
+
+POLICIES = ["ucb-n", "ucb1", "ts-n"]
+MEANS = np.array([0.85, 0.6, 0.6, 0.5, 0.3, 0.15])
+
+
+class TestBatchAgainstByHand:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_five_runs(self, policy):
+        inst = BanditInstance(MEANS, cycle(6))
+        _check_against_by_hand(policy, inst, [cycle(6)], 300, 5, 8, [0, 9, 127, 299])
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_graphs_of_a_sweep(self, policy):
+        graphs = [complete(6), disjoint_cliques((3, 3)), edgeless(6)]
+        inst = BanditInstance(MEANS, graphs[0])
+        _check_against_by_hand(policy, inst, graphs, 200, 3, 4, [1, 63, 199])
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_marks_leave_out_the_horizon(self, policy):
+        inst = BanditInstance(MEANS, cycle(6))
+        _check_against_by_hand(policy, inst, [cycle(6)], 150, 2, 6, [2, 40])
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_no_marks(self, policy):
+        inst = BanditInstance(MEANS, cycle(6))
+        _check_against_by_hand(policy, inst, [cycle(6)], 40, 2, 6, [])
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_horizons_around_the_block_length(self, monkeypatch, policy):
+        # 2 runs x 6 arms in a 96-double budget make blocks of 8 rounds
+        monkeypatch.setattr("graphbandits.kernels._BLOCK_DOUBLES", 96)
+        inst = BanditInstance(MEANS, edgeless(6))
+        graphs = [edgeless(6), complete(6)]
+        for horizon in (1, 7, 8, 17):
+            marks = sorted({0, horizon - 1})
+            _check_against_by_hand(policy, inst, graphs, horizon, 2, 5, marks)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_caller_stream_ends_where_by_hand_leaves_it(self, policy):
+        # one round past the first block of uniforms
+        inst = BanditInstance(np.linspace(0.2, 0.8, 16), cycle(16))
+        horizon = kernels._BLOCK_DOUBLES // 16 + 1
+        rng = np.random.default_rng(31)
+        want, _, obj = episode_by_hand(inst, policy, horizon, rng)
+        gen = np.random.default_rng(31)
+        pulls, _, _ = run_episode_arrays(
+            policy,
+            inst.means,
+            inst.graph.adjacency_matrix(),
+            horizon,
+            gen,
+            bonus=0.0 if policy == "ts-n" else obj.bonus,
+        )
+        assert np.array_equal(pulls, want)
+        assert gen.random() == rng.random()
+
+    def test_input_validation(self):
+        inst = BanditInstance(MEANS, cycle(6))
+        with pytest.raises(InputError):
+            _batch("exp3", inst, [cycle(6)], 10, 2, 0, [])
+        for marks in ([3, 3], [5, 2], [-1], [10]):
+            with pytest.raises(InputError):
+                _batch("ucb-n", inst, [cycle(6)], 10, 2, 0, marks)
 
 
 class TestSequenceScans:

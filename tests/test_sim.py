@@ -4,6 +4,9 @@ The statistical comparisons here use matched reward streams (same seeds,
 same per-round uniform draws), so policy and graph differences are the only
 source of divergence; tolerances are two standard errors.
 """
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -177,6 +180,35 @@ class TestRunExperiment:
         ]
         assert report.final_per_run.tolist() == pytest.approx(finals)
 
+    def test_checkpoints_without_horizon_match_by_hand(self):
+        config = make_config(num_runs=5, horizon=300, checkpoints=(1, 7, 100))
+        report = run_experiment(config)
+        regrets = np.array([
+            episode_by_hand(config.instance, "ucb-n", 300, episode_stream(11, run))[1]
+            for run in range(5)
+        ])
+        at = regrets[:, [0, 6, 99]]
+        assert report.mean.tolist() == at.mean(axis=0).tolist()
+        assert report.low.tolist() == at.min(axis=0).tolist()
+        assert report.high.tolist() == at.max(axis=0).tolist()
+        assert report.final_per_run.tolist() == regrets[:, -1].tolist()
+
+    def test_memory_does_not_grow_with_horizon(self):
+        # an engine keeping O(runs x horizon) would grow 8x from 2^12 to 2^15
+        inst = BanditInstance(np.append([0.9], np.full(9, 0.6)), disjoint_cliques((5, 5)))
+        # one untraced call first, so one-time allocations count in neither
+        run_experiment(ExperimentConfig(inst, "ucb-n", 64, num_runs=32, base_seed=1))
+        peaks = []
+        for horizon in (2**12, 2**15):
+            config = ExperimentConfig(inst, "ucb-n", horizon, num_runs=32, base_seed=1)
+            tracemalloc.start()
+            try:
+                run_experiment(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+
 
 class TestCsvOutput:
     def test_regret_csv_shape(self):
@@ -304,12 +336,40 @@ class TestSweepAlpha:
             margin = 2.0 * (a.stderr_final_regret + b.stderr_final_regret)
             assert a.mean_final_regret <= b.mean_final_regret + margin
 
+    @pytest.mark.parametrize("policy", ["ucb-n", "ucb1", "ts-n"])
+    def test_rows_match_by_hand_runs(self, policy):
+        means = np.array([0.9, 0.7, 0.6, 0.6, 0.4, 0.2])
+        graphs = [
+            ("complete", complete(6)),
+            ("cliques", disjoint_cliques((3, 3))),
+            ("edgeless", edgeless(6)),
+        ]
+        config = ExperimentConfig(
+            BanditInstance(means, complete(6)), policy, 300, num_runs=4, base_seed=13
+        )
+        rows = sweep_alpha(config, graphs)
+        for row, (_, graph) in zip(rows, graphs):
+            finals = np.array([
+                episode_by_hand(
+                    BanditInstance(means, graph), policy, 300, episode_stream(13, run)
+                )[1][-1]
+                for run in range(4)
+            ])
+            assert row.mean_final_regret == float(finals.mean())
+            assert row.stderr_final_regret == float(finals.std(ddof=1) / math.sqrt(4))
+
     def test_arity_and_type_validation(self):
         config = make_config()
         with pytest.raises(InputError):
             sweep_alpha(config, [("bad", edgeless(5))])
         with pytest.raises(InputError):
             sweep_alpha(config, [("bad", "edgeless:3")])
+        # a bad graph after a good one is refused before anything runs
+        with pytest.raises(InputError):
+            sweep_alpha(config, [("good", edgeless(3)), ("bad", edgeless(5))])
+
+    def test_empty_sweep(self):
+        assert sweep_alpha(make_config(), []) == []
 
     def test_csv_lines(self):
         config = make_config(num_runs=2)
