@@ -141,12 +141,30 @@ def _neighbor_masks(graph: FeedbackGraph) -> list[int]:
     return masks
 
 
-def _mask_weight(mask: int, weights) -> float:
+def _clique_cover_bound(cand: int, masks, weights) -> float:
+    """Upper bound on the weight of an independent subset of ``cand``.
+
+    Greedily covers ``cand`` with cliques (the lowest remaining vertex, then
+    the lowest remaining vertex adjacent to the whole clique so far) and adds
+    up the largest weight in each clique. An independent set holds at most
+    one vertex per clique. On the complement graph this is the colouring
+    bound of maximum-clique search (Tomita & Seki 2003, Ostergard 2002).
+    """
     total = 0.0
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        total += weights[v]
-        mask &= mask - 1
+    while cand:
+        low = cand & -cand
+        v = low.bit_length() - 1
+        top = weights[v]
+        cand ^= low
+        common = cand & masks[v]
+        while common:
+            low = common & -common
+            v = low.bit_length() - 1
+            if weights[v] > top:
+                top = weights[v]
+            cand ^= low
+            common &= masks[v]
+        total += top
     return total
 
 
@@ -163,27 +181,54 @@ def _branch_vertex(cand: int, masks) -> int:
     return best_v
 
 
-def _best_value(masks, weights, cand: int) -> float:
-    """Branch-and-bound maximum weight of an independent subset of ``cand``."""
+def _bound_slack(weights) -> float:
+    """Relative slack the pruning bound needs against float rounding.
+
+    Every float is a dyadic rational. When the weights, scaled to their
+    largest denominator, add up to less than 2^53, every subset sum is exact
+    in any order, so the bound needs no slack (unit weights are this case).
+    Otherwise the bound and a set's running total add nonnegative weights in
+    different orders, each within k * 2^-53 of its exact sum, and a relative
+    slack of 1e-12 keeps the search from pruning a set whose float total
+    would beat the incumbent.
+    """
+    ratios = [w.as_integer_ratio() for w in weights]
+    scale = max(d for _, d in ratios)
+    if sum(n * (scale // d) for n, d in ratios) < 2**53:
+        return 1.0
+    return 1.0 + 1e-12
+
+
+def _best_value(masks, weights, slack, cand: int, base=0.0, goal=math.inf) -> float:
+    """Branch-and-bound maximum weight of an independent subset of ``cand``.
+
+    Returns early, with the best total found so far, once ``base + best``
+    reaches ``goal``. Float addition is monotone, so that total answers
+    "can ``base`` plus a subset of ``cand`` reach ``goal``?" the same way
+    the maximum would.
+    """
     best = 0.0
 
     def dfs(cand, acc):
         nonlocal best
         if acc > best:
             best = acc
+            if base + best >= goal:
+                return True
         if not cand:
-            return
-        if acc + _mask_weight(cand, weights) <= best:
-            return
+            return False
+        if (acc + _clique_cover_bound(cand, masks, weights)) * slack <= best:
+            return False
         v = _branch_vertex(cand, masks)
-        dfs(cand & ~masks[v] & ~(1 << v), acc + weights[v])
-        dfs(cand & ~(1 << v), acc)
+        if dfs(cand & ~masks[v] & ~(1 << v), acc + weights[v]):
+            return True
+        return dfs(cand & ~(1 << v), acc)
 
     dfs(cand, 0.0)
     return best
 
 
-def _lex_smallest_optimal(masks, weights, target: float) -> list[int]:
+def _lex_smallest_optimal(masks, weights, slack, target: float) -> list[int]:
     """Lexicographically smallest vertex set achieving ``target``.
 
     Scans vertices in increasing order. A vertex is taken whenever taking it
@@ -191,15 +236,17 @@ def _lex_smallest_optimal(masks, weights, target: float) -> list[int]:
     reaches the optimum, which prefers short prefixes over extensions.
     """
     eps = 1e-9 * max(1.0, abs(target))
+    goal = target - eps
     chosen: list[int] = []
     acc = 0.0
     cand = (1 << len(masks)) - 1
-    while cand and acc < target - eps:
+    while cand and acc < goal:
         v = (cand & -cand).bit_length() - 1
         with_v = cand & ~masks[v] & ~(1 << v)
-        if acc + weights[v] + _best_value(masks, weights, with_v) >= target - eps:
+        base = acc + weights[v]
+        if base + _best_value(masks, weights, slack, with_v, base, goal) >= goal:
             chosen.append(v)
-            acc += weights[v]
+            acc = base
             cand = with_v
         else:
             cand &= ~(1 << v)
@@ -233,11 +280,13 @@ def max_independent_set(
     """Maximum-weight independent set of ``graph``.
 
     ``weights`` defaults to all ones (so the value is the independence
-    number). Exact search runs branch and bound over vertex bitmasks and is
+    number). Exact search runs branch and bound over vertex bitmasks, pruned
+    by a greedy clique-cover bound (the largest weight per clique), and is
     refused above ``exact_limit`` vertices unless ``allow_approximate`` is
     set, in which case a deterministic greedy answer is returned and flagged.
     Ties among maximizing sets resolve to the lexicographically smallest
-    sorted vertex tuple.
+    sorted vertex tuple, found by a vertex-by-vertex scan whose searches stop
+    as soon as the optimum is shown to be reachable.
     """
     k = graph.num_arms
     if weights is not None:
@@ -261,8 +310,9 @@ def max_independent_set(
         return _greedy_set(graph, weights)
     masks = _neighbor_masks(graph)
     w = [1.0] * k if weights is None else weights
-    target = _best_value(masks, w, (1 << k) - 1)
-    chosen = _lex_smallest_optimal(masks, w, target)
+    slack = _bound_slack(w)
+    target = _best_value(masks, w, slack, (1 << k) - 1)
+    chosen = _lex_smallest_optimal(masks, w, slack, target)
     if weights is None:
         value = len(chosen)
     else:

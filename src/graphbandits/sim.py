@@ -85,6 +85,11 @@ class ExperimentConfig:
         horizon = int(self.horizon)
         if horizon < 1:
             raise InputError(f"horizon must be positive, got {horizon}")
+        if horizon == 1 and self.delta is None:
+            raise InputError(
+                "run.horizon must be at least 2 when no delta is given: the "
+                "default delta 1/horizon would be 1.0, outside (0, 1)"
+            )
         num_runs = int(self.num_runs)
         if num_runs < 1:
             raise InputError(f"num_runs must be positive, got {num_runs}")

@@ -206,6 +206,18 @@ class TestSimulateCommand:
         assert proc.stderr.count("\n") == 1
         assert "seed must be nonnegative" in proc.stderr
 
+    @pytest.mark.parametrize("policy", ["ucb-n", "ts-n"])
+    def test_horizon_one_without_delta_exits_two(self, config_file, policy):
+        data = config_dict()
+        data["policy"]["name"] = policy
+        data["run"]["horizon"] = 1
+        proc = run_cli("simulate", "--config", config_file(data))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert "run.horizon" in proc.stderr
+        assert "1/horizon" in proc.stderr
+
     def test_unreadable_config_exits_two(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 2
 

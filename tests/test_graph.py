@@ -1,6 +1,8 @@
 """Graph type, generators, and exact independent-set search."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphbandits import (
     CapabilityError,
@@ -16,6 +18,7 @@ from graphbandits import (
     parse_graph_spec,
     star,
 )
+from graphbandits.graph import _bound_slack, _clique_cover_bound, _neighbor_masks
 
 from oracles import brute_force_mis, random_edges
 
@@ -195,6 +198,28 @@ class TestAgainstEnumeration:
             assert tuple(sorted(got.vertices)) == want_set
             checked += 1
 
+    @pytest.mark.parametrize(
+        "palette",
+        [
+            # exact ties, including extensions by zero-weight vertices
+            (0.0, 0.5, 1.0, 2.0),
+            # near ties 1e-7 apart, which the 1e-9 tie tolerance keeps apart
+            (1.0, 1.0 + 1e-7, 2.0, 2.0 - 1e-7),
+        ],
+    )
+    def test_tie_heavy_weights_match_brute_force(self, palette):
+        # the exact set checks the lexicographic tie-break and the probes
+        # that stop as soon as the optimum is reachable
+        rng = np.random.default_rng(7)
+        for _ in range(80):
+            k = int(rng.integers(2, 15))
+            edges = random_edges(rng, k, float(rng.uniform(0.05, 0.8)))
+            weights = rng.choice(palette, size=k)
+            want_value, want_set = brute_force_mis(k, edges, weights)
+            got = max_independent_set(FeedbackGraph(k, edges), weights=weights)
+            assert got.value == pytest.approx(want_value, rel=1e-15)
+            assert tuple(sorted(got.vertices)) == want_set
+
     def test_lexicographic_tie_break(self):
         # equal weights make every maximum set tie; smallest ids must win
         got = max_independent_set(cycle(6), weights=[1.0] * 6)
@@ -231,6 +256,54 @@ class TestAgainstEnumeration:
             sub, _ = g.induced_subgraph(subset)
             if sub.num_arms:
                 assert independence_number(sub) <= parent
+
+
+@st.composite
+def _graph_weights_and_mask(draw):
+    k = draw(st.integers(1, 10))
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weight = st.one_of(
+        st.integers(0, 8).map(lambda n: n / 4),
+        st.floats(0.0, 100.0, allow_nan=False),
+    )
+    weights = draw(st.none() | st.lists(weight, min_size=k, max_size=k))
+    cand = draw(st.integers(0, (1 << k) - 1))
+    return FeedbackGraph(k, edges), weights, cand
+
+
+class TestCliqueCoverBound:
+    @given(_graph_weights_and_mask())
+    def test_bound_dominates_the_optimum_of_the_mask(self, case):
+        graph, weights, cand = case
+        w = [1.0] * graph.num_arms if weights is None else [float(x) for x in weights]
+        bound = _clique_cover_bound(cand, _neighbor_masks(graph), w)
+        members = [v for v in range(graph.num_arms) if cand >> v & 1]
+        sub, relabel = graph.induced_subgraph(members)
+        want, _ = brute_force_mis(sub.num_arms, sub.edges(), [w[v] for v in relabel])
+        # exact for unit and dyadic weights, within the search's slack otherwise
+        assert bound * _bound_slack(w) >= want
+
+    def test_cover_is_greedy_by_lowest_id(self):
+        # cycle 0-1-2-3-4: cliques {0, 1}, {2, 3}, {4}
+        masks = _neighbor_masks(cycle(5))
+        assert _clique_cover_bound(0b11111, masks, [1.0, 5.0, 2.0, 1.0, 3.0]) == 10.0
+        assert _clique_cover_bound(0, masks, [1.0] * 5) == 0.0
+
+
+class TestPinnedAnswers:
+    def test_er_60(self):
+        got = max_independent_set(parse_graph_spec("er:60,0.1,1"), exact_limit=60)
+        assert got.value == 24
+        assert sorted(got.vertices) == [
+            0, 1, 2, 6, 7, 8, 9, 11, 12, 13, 14, 15, 17, 20,
+            22, 34, 39, 43, 47, 50, 52, 57, 58, 59,
+        ]
+
+    def test_cycle_30(self):
+        got = max_independent_set(parse_graph_spec("cycle:30"))
+        assert got.value == 15
+        assert sorted(got.vertices) == list(range(0, 30, 2))
 
 
 class TestGenerators:

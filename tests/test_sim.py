@@ -68,6 +68,8 @@ class TestExperimentConfig:
         [
             dict(policy="greedy"),
             dict(horizon=0),
+            dict(horizon=1),
+            dict(horizon=1, policy="ts-n"),
             dict(num_runs=0),
             dict(policy="ts-n", delta=0.1),
             dict(checkpoints=()),
@@ -80,6 +82,10 @@ class TestExperimentConfig:
     def test_validation(self, overrides):
         with pytest.raises(InputError):
             make_config(**overrides)
+
+    def test_horizon_one_runs_with_explicit_delta(self):
+        result = run_experiment(make_config(horizon=1, delta=0.5))
+        assert result.bounds.delta == 0.5
 
 
 class TestEpisodeStream:
