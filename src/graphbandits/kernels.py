@@ -1,4 +1,4 @@
-"""Hot numeric loops: the batched episode loops and the band-sequence scans.
+"""Hot numeric loops: the batched episode loops and a band-sequence scan.
 
 An episode batch advances ``num_runs`` runs on each of G graphs together,
 one numpy step per round on (G, runs, K) state arrays. Each run reads its
@@ -14,6 +14,10 @@ matched rewards. The last block stops at the horizon, so a generator ends
 where the one-round-at-a-time loop would leave it. Thompson sampling keeps
 the per-round interleave of ``random(K)`` and ``beta(...)`` on each
 (graph, run) generator; only its argmax and its updates are batched.
+
+The sequence scan enumerates a box of band sequences by brute force. The
+package itself does not call it; the tests compare ``lemma.exhaustive_verify``,
+which certifies a box from its extremal sequences alone, against it.
 """
 from __future__ import annotations
 
@@ -27,7 +31,6 @@ __all__ = [
     "EpisodeBatch",
     "run_episode_arrays",
     "run_episode_batch",
-    "scan_sequence_rows",
     "scan_sequences_range",
 ]
 
@@ -269,7 +272,7 @@ def run_episode_arrays(
 
 
 # ---------------------------------------------------------------------------
-# sequence scans
+# reference sequence scan
 #
 # A sequence assigns a count in 0..alpha to each phase p = 1..num_phases.
 # Its terms are count * 2^p; a scan totals the terms, finds the peak term,
@@ -341,7 +344,9 @@ def scan_sequences_range(
 
     Returns (nonzero_count, violation_count, recorded_violation_indices,
     best_ratio, best_ratio_index). The best index is the first one attaining
-    the maximum total/peak ratio; all-zero sequences are skipped.
+    the maximum total/peak ratio; all-zero sequences are skipped. Terms and
+    totals are int64, so results hold only while alpha * 2^(num_phases + 1)
+    is below 2^63.
     """
     _check_scan_args(alpha, num_phases)
     total = (alpha + 1) ** num_phases
@@ -352,18 +357,3 @@ def scan_sequences_range(
     if start == stop:
         return 0, 0, [], -1.0, -1
     return _scan_range(alpha, num_phases, start, stop, threshold, slack, max_record)
-
-
-def scan_sequence_rows(
-    rows: np.ndarray,
-    threshold: float,
-    slack: float,
-    max_record: int = 16,
-):
-    """Scan explicit sequences (one per row); indices refer to row numbers."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] == 0:
-        raise InputError(f"expected a nonempty 2-d array of counts, got {rows.shape}")
-    if rows.min() < 0:
-        raise InputError("sequence counts must be nonnegative")
-    return _scan_rows(rows, threshold, slack, max_record)

@@ -1,30 +1,34 @@
-"""Brute-force certification of the dyadic band-budget inequality.
+"""Exact certification of the dyadic band-budget inequality.
 
 The core claim: for per-band counts K_1..K_P with every K_p <= alpha, the
 total of the terms K_p * 2^p never exceeds (log2(alpha) + 3) times the
-largest term. This module checks it three ways: on single sequences, by
-exhaustive or sampled enumeration over the whole constraint box, and on
-concrete bandit instances through their phase decompositions.
+largest term. This module checks it three ways: on single sequences, over
+the whole constraint box through its extremal sequences, and on concrete
+bandit instances through their phase decompositions.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import kernels
 from .bounds import alpha_log_factor, hardness
 from .env import BanditInstance
-from .errors import InputError
+from .errors import CapabilityError, InputError
 from .graph import DEFAULT_EXACT_LIMIT
 from .phases import PhaseDecomposition, decompose
 
 # absolute slack absorbing the floating-point log2 on the integer side
 RATIO_SLACK = 1e-9
 
+# Largest box certified, in steps: each of the alpha * phases candidate
+# sequences costs one step per count plus about 16 for building and
+# checking it. The one-phase box (999999, 1), the largest with at most 10^6
+# sequences, costs 16,999,983 steps and (3, 1000) 3,048,000; on a 2-vCPU
+# host a step takes about 0.6 us.
+MAX_CERTIFICATE_WORK = 20_000_000
+
 __all__ = [
     "BandBudgetReport",
+    "MAX_CERTIFICATE_WORK",
     "RATIO_SLACK",
     "SequenceInstance",
     "VerificationReport",
@@ -61,6 +65,19 @@ class SequenceInstance:
         return tuple(c << (p + 1) for p, c in enumerate(self.counts))
 
 
+def _within_factor(alpha: int, total: int, peak: int) -> bool:
+    """Whether total <= (log2(alpha) + 3) * peak + RATIO_SLACK.
+
+    The factor and the slack are the float values, but the comparison is
+    made exactly in integers: it agrees with the float comparison wherever
+    the float arithmetic is exact, and it never converts a long sequence's
+    integers to float, which would overflow.
+    """
+    f_num, f_den = alpha_log_factor(alpha).as_integer_ratio()
+    s_num, s_den = RATIO_SLACK.as_integer_ratio()
+    return total * f_den * s_den <= f_num * s_den * peak + s_num * f_den
+
+
 def verify_sequence(inst: SequenceInstance) -> tuple[bool, float]:
     """Check one sequence; returns (holds, total / peak term).
 
@@ -72,9 +89,7 @@ def verify_sequence(inst: SequenceInstance) -> tuple[bool, float]:
     if peak == 0:
         raise InputError("sequence has no nonzero count")
     total = sum(terms)
-    threshold = alpha_log_factor(inst.alpha)
-    holds = float(total) <= threshold * float(peak) + RATIO_SLACK
-    return holds, total / peak
+    return _within_factor(inst.alpha, total, peak), total / peak
 
 
 def all_max_sequence(
@@ -107,7 +122,7 @@ def all_max_sequence(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of an enumeration or sampling sweep over sequences."""
+    """Outcome of certifying the constraint box {0..alpha}^num_phases."""
 
     alpha: int
     num_phases: int
@@ -116,7 +131,7 @@ class VerificationReport:
     violation_count: int
     violations: tuple[tuple[int, ...], ...]
     tightest_ratio: float
-    tight_witness: tuple[int, ...] | None
+    tight_witness: tuple[int, ...]
     exhaustive: bool
 
     @property
@@ -124,27 +139,26 @@ class VerificationReport:
         return self.violation_count == 0
 
 
-def _decode_index(index: int, alpha: int, num_phases: int) -> tuple[int, ...]:
-    base = alpha + 1
-    out = []
-    for _ in range(num_phases):
-        out.append(index % base)
-        index //= base
-    return tuple(out)
+def exhaustive_verify(alpha: int, num_phases: int) -> VerificationReport:
+    """Certify the whole box {0..alpha}^num_phases from its extremal sequences.
 
+    A nonzero sequence whose peak term sits at phase m with count c has
+    every count at most that of ``all_max_sequence(alpha, num_phases, m, c)``
+    and the same peak term, so its ratio total / peak is at most that
+    sequence's, with equality only for the sequence itself. Checking the
+    alpha * num_phases extremal sequences with exact integers therefore
+    certifies every sequence of the box.
 
-def exhaustive_verify(
-    alpha: int,
-    num_phases: int,
-    budget: int = 10_000_000,
-    seed: int = 0,
-) -> VerificationReport:
-    """Sweep the constraint box {0..alpha}^num_phases.
-
-    Enumerates every sequence when the box fits in ``budget``; otherwise
-    draws ``budget`` sequences uniformly from the box using ``seed``.
-    All-zero sequences count toward ``instances_checked`` but are skipped
-    by the ratio and violation logic.
+    ``instances_checked`` and ``nonzero_checked`` count the box, in closed
+    form. ``tightest_ratio`` is the float total / peak of the sequence of
+    largest exact ratio, and ``tight_witness`` that sequence; of equal
+    ratios the one of lowest mixed-radix index wins (the count of phase 1
+    is the least significant digit), as in an in-order scan of the box.
+    An extremal sequence that breaks the inequality disproves it, so
+    ``violation_count`` and ``violations`` count and list the distinct
+    failing extremal sequences, in index order, not every failing sequence
+    of the box. Raises CapabilityError before any work when the box costs
+    more than MAX_CERTIFICATE_WORK.
     """
     alpha = int(alpha)
     num_phases = int(num_phases)
@@ -152,46 +166,36 @@ def exhaustive_verify(
         raise InputError(f"alpha must be at least 1, got {alpha}")
     if num_phases < 1:
         raise InputError(f"num_phases must be at least 1, got {num_phases}")
-    budget = int(budget)
-    if budget < 1:
-        raise InputError(f"budget must be positive, got {budget}")
-    seed = int(seed)
-    if seed < 0:
-        raise InputError(f"seed must be nonnegative, got {seed}")
-    threshold = alpha_log_factor(alpha)
-    total = (alpha + 1) ** num_phases
-    if total <= budget:
-        nonzero, n_viol, recorded, best_ratio, best_index = kernels.scan_sequences_range(
-            alpha, num_phases, 0, total, threshold, RATIO_SLACK
+    work = alpha * num_phases * (num_phases + 16)
+    if work > MAX_CERTIFICATE_WORK:
+        raise CapabilityError(
+            f"certifying alpha={alpha} over {num_phases} phases costs {work} "
+            f"steps, above the limit of {MAX_CERTIFICATE_WORK}"
         )
-        checked = total
-        violations = tuple(_decode_index(i, alpha, num_phases) for i in recorded)
-        witness = (
-            _decode_index(best_index, alpha, num_phases) if best_index >= 0 else None
-        )
-        exhaustive = True
-    else:
-        rng = np.random.default_rng(seed)
-        rows = rng.integers(0, alpha + 1, size=(budget, num_phases), dtype=np.int64)
-        nonzero, n_viol, recorded, best_ratio, best_index = kernels.scan_sequence_rows(
-            rows, threshold, RATIO_SLACK
-        )
-        checked = budget
-        violations = tuple(tuple(int(x) for x in rows[i]) for i in recorded)
-        witness = (
-            tuple(int(x) for x in rows[best_index]) if best_index >= 0 else None
-        )
-        exhaustive = False
+    best_total, best_peak, best_key = 0, 1, None
+    failing = set()
+    for m in range(1, num_phases + 1):
+        for c in range(1, alpha + 1):
+            inst = all_max_sequence(alpha, num_phases, m, c)
+            terms = inst.terms()
+            total, peak = sum(terms), max(terms)
+            if not _within_factor(alpha, total, peak):
+                failing.add(inst.counts)
+            key = inst.counts[::-1]
+            gain = total * best_peak - best_total * peak
+            if gain > 0 or (gain == 0 and key < best_key):
+                best_total, best_peak, best_key = total, peak, key
+    size = (alpha + 1) ** num_phases
     return VerificationReport(
         alpha=alpha,
         num_phases=num_phases,
-        instances_checked=checked,
-        nonzero_checked=nonzero,
-        violation_count=n_viol,
-        violations=violations,
-        tightest_ratio=float(best_ratio),
-        tight_witness=witness,
-        exhaustive=exhaustive,
+        instances_checked=size,
+        nonzero_checked=size - 1,
+        violation_count=len(failing),
+        violations=tuple(sorted(failing, key=lambda s: s[::-1])),
+        tightest_ratio=best_total / best_peak,
+        tight_witness=best_key[::-1],
+        exhaustive=True,
     )
 
 

@@ -48,6 +48,16 @@ def run_cli(*args, **kwargs):
     )
 
 
+def run_cli_capped(*args):
+    # 2 GiB of address space: a request that outgrows its limits ends in a
+    # MemoryError traceback instead of taking the machine's memory
+    cap = 2 << 30
+    return run_cli(
+        *args,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+
+
 @pytest.fixture
 def config_file(tmp_path):
     def write(data=None, name="exp.yaml"):
@@ -307,16 +317,6 @@ class TestMisCommand:
         assert main(["mis", "--graph", "torus:5"]) == 2
         assert "input error" in capsys.readouterr().err
 
-    @staticmethod
-    def _run_capped(*args):
-        # 2 GiB of address space: without the arm limit these specs end in
-        # a MemoryError traceback instead of taking the machine's memory
-        cap = 2 << 30
-        return run_cli(
-            *args,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-        )
-
     def _assert_arm_limit_error(self, proc):
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
@@ -327,33 +327,50 @@ class TestMisCommand:
         "spec", ["complete:100000000000", "cliques:100000000000", "er:100000000000,0.5,1"]
     )
     def test_huge_family_arm_count_exits_two(self, spec):
-        self._assert_arm_limit_error(self._run_capped("mis", "--graph", spec))
+        self._assert_arm_limit_error(run_cli_capped("mis", "--graph", spec))
 
     def test_huge_file_arm_count_exits_two(self, tmp_path):
         path = tmp_path / "huge.txt"
         path.write_text("100000000000\n")
-        self._assert_arm_limit_error(self._run_capped("mis", "--graph", f"file:{path}"))
+        self._assert_arm_limit_error(run_cli_capped("mis", "--graph", f"file:{path}"))
 
 
 class TestVerifyLemmaCommand:
     def test_exhaustive_box(self, capsys):
         assert main(["verify-lemma", "--alpha", "2", "--phases", "4"]) == 0
         out = capsys.readouterr().out
-        assert "81 sequences, 0 violations" in out
-        assert "tightest ratio 2.75 at counts=(2,2,2,1)" in out
-        assert "threshold 4" in out
-
-    def test_sampled_mode_notes_the_subset(self, capsys):
-        code = main(
-            [
-                "verify-lemma", "--alpha", "3", "--phases", "10",
-                "--budget", "500", "--seed", "9",
-            ]
+        assert out == (
+            "81 sequences, 0 violations\n"
+            "tightest ratio 2.75 at counts=(2,2,2,1); threshold 4\n"
         )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "500 sequences, 0 violations" in out
-        assert "sampled 500 of 1048576 sequences" in out
+
+    @pytest.mark.parametrize("alpha, phases", [(3, 1000), (1, 1100)])
+    def test_long_box_exits_zero_in_bounded_memory(self, alpha, phases):
+        # these boxes once crashed the sampled mode (74.5 GiB asked of
+        # numpy) or overflowed a float; the certificate needs neither
+        proc = run_cli_capped(
+            "verify-lemma", "--alpha", str(alpha), "--phases", str(phases)
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == f"{(alpha + 1) ** phases} sequences, 0 violations"
+        assert lines[1].startswith("tightest ratio ")
+
+    def test_over_limit_box_exits_three(self):
+        proc = run_cli_capped("verify-lemma", "--alpha", "3", "--phases", "5000")
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("capability error: ")
+        assert proc.stdout == ""
+
+    def test_sampling_flags_are_gone(self, capsys):
+        for flag in ("--budget", "--seed"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["verify-lemma", "--alpha", "2", "--phases", "4", flag, "5"])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_violations_exit_one(self, capsys, monkeypatch):
         # no real counterexample exists, so exercise the failure path with
@@ -379,16 +396,6 @@ class TestVerifyLemmaCommand:
 
     def test_bad_alpha_exits_two(self, capsys):
         assert main(["verify-lemma", "--alpha", "0", "--phases", "3"]) == 2
-
-    def test_negative_seed_exits_two_without_traceback(self):
-        proc = run_cli(
-            "verify-lemma", "--alpha", "3", "--phases", "20",
-            "--budget", "100", "--seed", "-1",
-        )
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.count("\n") == 1
-        assert "seed must be nonnegative" in proc.stderr
 
 
 class TestSweepAlphaCommand:

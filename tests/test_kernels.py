@@ -1,4 +1,4 @@
-"""Batched episode loops and sequence-scan correctness.
+"""Batched episode loops and the reference sequence scan.
 
 The episode loops are checked against the step-by-step policy objects
 composed by hand, one episode per run, which must give bit-identical pulls,
@@ -22,7 +22,6 @@ from graphbandits import kernels
 from graphbandits.kernels import (
     run_episode_arrays,
     run_episode_batch,
-    scan_sequence_rows,
     scan_sequences_range,
 )
 
@@ -269,21 +268,12 @@ class TestSequenceScans:
         with pytest.raises(InputError):
             scan_sequences_range(2, 0, 0, 1, 4.0, 1e-9)
 
-    def test_rows_validation(self):
-        with pytest.raises(InputError):
-            scan_sequence_rows(np.empty((0, 3), dtype=np.int64), 4.0, 1e-9)
-        with pytest.raises(InputError):
-            scan_sequence_rows(np.array([[1, -1]]), 4.0, 1e-9)
-
-    def test_rows_all_zero(self):
-        got = scan_sequence_rows(np.zeros((5, 3), dtype=np.int64), 4.0, 1e-9)
-        assert got == (0, 0, [], -1.0, -1)
-
     def test_max_record_caps_list_not_count(self):
-        rows = np.tile(np.array([[1, 1, 1, 1]], dtype=np.int64), (40, 1))
-        nonzero, n_viol, recorded, _, _ = scan_sequence_rows(
-            rows, threshold=1.0, slack=0.0, max_record=4
+        # with threshold 1.0 every sequence of two or more nonzero counts
+        # violates: 2^4 - 1 - 4 of the alpha=1, four-phase box
+        nonzero, n_viol, recorded, _, _ = scan_sequences_range(
+            1, 4, 0, 16, threshold=1.0, slack=0.0, max_record=4
         )
-        assert nonzero == 40
-        assert n_viol == 40
-        assert recorded == [0, 1, 2, 3]
+        assert nonzero == 15
+        assert n_viol == 11
+        assert recorded == [3, 5, 6, 7]

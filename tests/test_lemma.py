@@ -1,11 +1,14 @@
-"""Band-budget inequality: single sequences, enumeration sweeps, instances."""
+"""Band-budget inequality: single sequences, box certificates, instances."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphbandits import (
     BanditInstance,
+    CapabilityError,
     InputError,
     SequenceInstance,
     all_max_sequence,
@@ -18,8 +21,36 @@ from graphbandits import (
     verify_instance,
     verify_sequence,
 )
+from graphbandits import lemma
+from graphbandits.bounds import alpha_log_factor
+from graphbandits.kernels import scan_sequences_range
+from graphbandits.lemma import MAX_CERTIFICATE_WORK, RATIO_SLACK, VerificationReport
 
 from oracles import random_instance
+
+
+def _decode(index, alpha, num_phases):
+    """Counts of the sequence at a mixed-radix index, phase 1 least significant."""
+    return tuple((index // (alpha + 1) ** p) % (alpha + 1) for p in range(num_phases))
+
+
+def _scan_report(alpha, num_phases):
+    """The report of a brute-force scan over every sequence of the box."""
+    size = (alpha + 1) ** num_phases
+    nonzero, n_viol, recorded, ratio, index = scan_sequences_range(
+        alpha, num_phases, 0, size, alpha_log_factor(alpha), RATIO_SLACK
+    )
+    return VerificationReport(
+        alpha=alpha,
+        num_phases=num_phases,
+        instances_checked=size,
+        nonzero_checked=nonzero,
+        violation_count=n_viol,
+        violations=tuple(_decode(i, alpha, num_phases) for i in recorded),
+        tightest_ratio=ratio,
+        tight_witness=_decode(index, alpha, num_phases),
+        exhaustive=True,
+    )
 
 
 class TestSequenceInstance:
@@ -55,6 +86,28 @@ class TestVerifySequence:
         _, base = verify_sequence(SequenceInstance(3, (3, 1)))
         _, padded = verify_sequence(SequenceInstance(3, (3, 1, 0, 0)))
         assert base == padded
+
+    def test_long_sequence_does_not_overflow(self):
+        # the total is about 2^1101, past the largest float
+        holds, ratio = verify_sequence(SequenceInstance(1, (1,) * 1100))
+        assert holds
+        assert ratio == 2.0
+
+    @pytest.mark.parametrize(
+        "alpha, total, peak, holds",
+        [
+            (1, 12, 4, True),
+            (1, 13, 4, False),
+            (4, 20, 4, True),
+            (4, 21, 4, False),
+            (1, 3 << 1100, 1 << 1100, True),
+            (1, (3 << 1100) + 1, 1 << 1100, False),
+        ],
+    )
+    def test_threshold_boundary_is_exact(self, alpha, total, peak, holds):
+        # alpha 1 and 4 have the exact factors 3 and 5: equality holds, one
+        # more fails, also where the integers are far past the float range
+        assert lemma._within_factor(alpha, total, peak) is holds
 
 
 class TestAllMaxSequence:
@@ -120,19 +173,8 @@ class TestExhaustiveVerify:
         report = exhaustive_verify(alpha=3, num_phases=1)
         assert report.instances_checked == 4
         assert report.tightest_ratio == pytest.approx(1.0)
-
-    def test_sampled_mode(self):
-        report = exhaustive_verify(alpha=3, num_phases=10, budget=2000, seed=7)
-        assert not report.exhaustive
-        assert report.instances_checked == 2000
-        assert report.nonzero_checked <= 2000
-        assert report.violation_count == 0
-        assert report.tight_witness is not None
-        again = exhaustive_verify(alpha=3, num_phases=10, budget=2000, seed=7)
-        assert again.tightest_ratio == report.tightest_ratio
-        assert again.tight_witness == report.tight_witness
-        other = exhaustive_verify(alpha=3, num_phases=10, budget=2000, seed=8)
-        assert other.instances_checked == 2000
+        # all three nonzero sequences tie at ratio 1: the lowest index wins
+        assert report.tight_witness == (1,)
 
     def test_witness_ratio_is_reproducible(self):
         report = exhaustive_verify(alpha=4, num_phases=5)
@@ -146,8 +188,62 @@ class TestExhaustiveVerify:
             exhaustive_verify(0, 3)
         with pytest.raises(InputError):
             exhaustive_verify(2, 0)
-        with pytest.raises(InputError):
-            exhaustive_verify(2, 3, budget=0)
+
+    @given(st.integers(1, 6), st.integers(1, 8))
+    @settings(max_examples=40)
+    def test_matches_scan_of_the_whole_box(self, alpha, num_phases):
+        assert exhaustive_verify(alpha, num_phases) == _scan_report(alpha, num_phases)
+
+    def test_long_box_witness_is_exact(self):
+        # 2^70 overflows int64 terms; the witness's exact ratio must be the
+        # reported one
+        report = exhaustive_verify(alpha=1, num_phases=70)
+        assert report.instances_checked == 2**70
+        assert report.nonzero_checked == 2**70 - 1
+        assert report.passed
+        holds, ratio = verify_sequence(SequenceInstance(1, report.tight_witness))
+        assert holds
+        assert ratio == report.tightest_ratio
+        assert report.tight_witness == (1,) * 70
+
+    @pytest.mark.parametrize("factor", [1.0, 1.5, 2.0, 2.5])
+    def test_violations_come_from_failing_extremal_sequences(
+        self, monkeypatch, factor
+    ):
+        # no real counterexample exists, so lower the factor; the box then
+        # has a violation exactly when an extremal sequence fails. At alpha 4
+        # two peaks build the same (2, 1, 0), which must be listed once.
+        monkeypatch.setattr(lemma, "alpha_log_factor", lambda alpha: factor)
+        for alpha, num_phases in ((1, 3), (2, 3), (4, 3), (3, 4)):
+            report = exhaustive_verify(alpha, num_phases)
+            scanned = scan_sequences_range(
+                alpha, num_phases, 0, (alpha + 1) ** num_phases, factor, RATIO_SLACK
+            )[1]
+            assert report.passed == (scanned == 0)
+            assert report.violation_count == len(report.violations)
+            keys = [counts[::-1] for counts in report.violations]
+            assert keys == sorted(set(keys))
+            extremal = {
+                all_max_sequence(alpha, num_phases, m, c).counts
+                for m in range(1, num_phases + 1)
+                for c in range(1, alpha + 1)
+            }
+            failing = {
+                counts for counts in extremal
+                if not verify_sequence(SequenceInstance(alpha, counts))[0]
+            }
+            assert set(report.violations) == failing
+
+    def test_over_limit_box_refused_before_any_work(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("built a candidate above the limit")
+
+        monkeypatch.setattr(lemma, "all_max_sequence", fail)
+        alpha = MAX_CERTIFICATE_WORK // (1000 * 1016) + 1
+        with pytest.raises(CapabilityError, match="above the limit"):
+            exhaustive_verify(alpha, 1000)
+        with pytest.raises(CapabilityError):
+            exhaustive_verify(MAX_CERTIFICATE_WORK, 1)
 
 
 class TestVerifyDecomposition:
