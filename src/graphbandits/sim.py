@@ -12,7 +12,9 @@ generator: the UCB policies read its uniforms in blocks shared by every
 graph, and Thompson sampling keeps its per-round interleave of uniforms and
 Beta draws, so every run follows the trajectory it has when run alone.
 Only the regret at the checkpoints is kept, so memory does not grow with
-horizon x runs; ``run_episode`` alone returns a whole trajectory.
+horizon x runs; ``run_episode`` alone returns a whole trajectory. A large
+Thompson-sampling batch runs its runs in shares across the usable CPUs, in
+forked children, with the same generators and the same output.
 """
 from __future__ import annotations
 

@@ -2,13 +2,22 @@
 
 The episode loops are checked against the step-by-step policy objects
 composed by hand, one episode per run, which must give bit-identical pulls,
-regret and final state.
+regret and final state. A Thompson-sampling batch split across forked
+workers must equal the same batch run in one process bit for bit.
 """
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import graphbandits
 from graphbandits import (
     BanditInstance,
+    ExperimentConfig,
     InputError,
     complete,
     cycle,
@@ -17,8 +26,10 @@ from graphbandits import (
     episode_stream,
     exploration_bonus,
     gaps,
+    run_experiment,
+    sweep_alpha,
 )
-from graphbandits import kernels
+from graphbandits import kernels, workers
 from graphbandits.kernels import (
     run_episode_arrays,
     run_episode_batch,
@@ -180,6 +191,239 @@ class TestBatchAgainstByHand:
         for marks in ([3, 3], [5, 2], [-1], [10]):
             with pytest.raises(InputError):
                 _batch("ucb-n", inst, [cycle(6)], 10, 2, 0, marks)
+
+
+def _force_split(monkeypatch, cpus):
+    """Split every ts-n batch of two or more runs over ``cpus`` processes.
+
+    Returns the list that records the number of shares of each split.
+    """
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(kernels, "_SPLIT_FLOOR", 0)
+    splits = []
+    run_shares = workers.run_shares
+
+    def recording(shares):
+        splits.append(len(shares))
+        return run_shares(shares)
+
+    monkeypatch.setattr(workers, "run_shares", recording)
+    return splits
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_same_bits(got, want):
+    assert got.pulls is None
+    for name in ("marked", "final", "state_a", "state_b"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+# the subprocess tests import the same package as the tests, installed or not
+_SRC = str(Path(graphbandits.__file__).resolve().parents[1])
+
+
+def _run_python(script, timeout=120):
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(
+            filter(None, [_SRC, os.environ.get("PYTHONPATH")])
+        ),
+    }
+    # a pipe then block-buffers the script's stdout
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
+
+
+class TestSplitBatches:
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize(
+        "num_runs, graphs, horizon, marks",
+        [
+            (2, [cycle(6)], 120, [0, 9, 63, 119]),
+            (3, [cycle(6)], 120, [5, 119]),
+            (5, [cycle(6)], 97, [0, 96]),
+            (3, [complete(6), disjoint_cliques((3, 3)), edgeless(6)], 80, [1, 79]),
+            (5, [cycle(6)], 150, [2, 40]),
+            (3, [edgeless(6), complete(6)], 60, []),
+        ],
+    )
+    def test_split_equals_one_process(
+        self, monkeypatch, cpus, num_runs, graphs, horizon, marks
+    ):
+        inst = BanditInstance(MEANS, graphs[0])
+        want, _ = _batch("ts-n", inst, graphs, horizon, num_runs, 9, marks)
+        splits = _force_split(monkeypatch, cpus)
+        got, _ = _batch("ts-n", inst, graphs, horizon, num_runs, 9, marks)
+        assert splits == [min(cpus, num_runs)]
+        _assert_same_bits(got, want)
+        _assert_no_child_left()
+
+    def test_shares_are_contiguous_larger_first(self):
+        assert list(workers.split(5, 2)) == [range(0, 3), range(3, 5)]
+        assert list(workers.split(5, 3)) == [range(0, 2), range(2, 4), range(4, 5)]
+        assert list(workers.split(3, 3)) == [range(0, 1), range(1, 2), range(2, 3)]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_split_against_by_hand(self, monkeypatch, cpus):
+        splits = _force_split(monkeypatch, cpus)
+        graphs = [complete(6), disjoint_cliques((3, 3)), edgeless(6)]
+        inst = BanditInstance(MEANS, graphs[0])
+        _check_against_by_hand("ts-n", inst, graphs, 90, 5, 4, [0, 31, 89])
+        assert splits == [cpus]
+
+    def test_run_experiment_and_sweep_rows_against_by_hand(self, monkeypatch):
+        splits = _force_split(monkeypatch, 2)
+        graphs = [complete(6), cycle(6), edgeless(6)]
+        config = ExperimentConfig(
+            instance=BanditInstance(MEANS, graphs[1]),
+            policy="ts-n",
+            horizon=70,
+            num_runs=3,
+            base_seed=11,
+            checkpoints=(1, 16, 50, 70),
+        )
+        rows = sweep_alpha(config, [(f"g{i}", g) for i, g in enumerate(graphs)])
+        report = run_experiment(config)
+        assert splits == [2, 2]
+        for graph, row in zip(graphs, rows):
+            by_hand = [
+                episode_by_hand(
+                    BanditInstance(MEANS, graph), "ts-n", 70, episode_stream(11, run)
+                )[1]
+                for run in range(3)
+            ]
+            finals = np.array([regret[-1] for regret in by_hand])
+            assert row.mean_final_regret == float(finals.mean())
+            if graph is graphs[1]:
+                assert report.final_per_run.tolist() == finals.tolist()
+                checkpoints = np.array([regret[[0, 15, 49, 69]] for regret in by_hand])
+                assert report.mean.tolist() == checkpoints.mean(axis=0).tolist()
+        _assert_no_child_left()
+
+    def test_ucb_and_single_runs_stay_in_process(self, monkeypatch):
+        splits = _force_split(monkeypatch, 3)
+        inst = BanditInstance(MEANS, cycle(6))
+        for policy in ("ucb-n", "ucb1"):
+            _batch(policy, inst, [cycle(6)], 50, 4, 2, [49])
+        _batch("ts-n", inst, [cycle(6)], 50, 1, 2, [49])
+        run_episode_arrays(
+            "ts-n", MEANS, cycle(6).adjacency_matrix(), 50, np.random.default_rng(2)
+        )
+        assert splits == []
+
+    def test_small_batches_stay_in_process(self, monkeypatch):
+        splits = _force_split(monkeypatch, 2)
+        monkeypatch.setattr(kernels, "_SPLIT_FLOOR", 2 * 50)
+        inst = BanditInstance(MEANS, cycle(6))
+        _batch("ts-n", inst, [cycle(6)], 50, 2, 2, [49])
+        assert splits == []
+        _batch("ts-n", inst, [cycle(6)], 51, 2, 2, [50])
+        assert splits == [2]
+
+    @pytest.mark.parametrize("bad_run", [0, 2, 4])
+    def test_worker_error_reaches_caller(self, monkeypatch, bad_run):
+        # with three workers run 0 is this process's, 2 and 4 the children's
+        _force_split(monkeypatch, 3)
+
+        def stream(run):
+            if run == bad_run:
+                raise InputError(f"no stream for run {run}")
+            return episode_stream(0, run)
+
+        with pytest.raises(InputError, match=f"^no stream for run {bad_run}$"):
+            run_episode_batch(
+                "ts-n", MEANS, cycle(6).adjacency_matrix()[None], 40, stream, 5
+            )
+        _assert_no_child_left()
+
+    def test_killed_worker_raises_without_hanging(self):
+        proc = _run_python(
+            """
+            import os, signal
+            import numpy as np
+            from graphbandits import cycle, episode_stream, kernels, workers
+
+            workers.usable_cpus = lambda: 2
+            kernels._SPLIT_FLOOR = 0
+            parent = os.getpid()
+
+            def stream(run):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return episode_stream(0, run)
+
+            try:
+                kernels.run_episode_batch(
+                    "ts-n", np.linspace(0.1, 0.9, 6),
+                    cycle(6).adjacency_matrix()[None], 40, stream, 4,
+                )
+            except RuntimeError as exc:
+                print("raised:", exc)
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                print("no child left")
+            """,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "was killed by signal 9 without an answer" in proc.stdout
+        assert "no child left" in proc.stdout
+
+    def test_buffered_stdout_is_printed_once(self):
+        proc = _run_python(
+            """
+            import numpy as np
+            from graphbandits import InputError, cycle, episode_stream, kernels, workers
+
+            workers.usable_cpus = lambda: 3
+            kernels._SPLIT_FLOOR = 0
+            means = np.linspace(0.1, 0.9, 6)
+            adj = cycle(6).adjacency_matrix()[None]
+            print("before the batch")
+
+            def stream(run):
+                if run == 3:
+                    raise InputError("run 3")
+                return episode_stream(0, run)
+
+            kernels.run_episode_batch(
+                "ts-n", means, adj, 40, lambda run: episode_stream(0, run), 4
+            )
+            try:
+                kernels.run_episode_batch("ts-n", means, adj, 40, stream, 4)
+            except InputError:
+                print("after the batches")
+            """
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "before the batch\nafter the batches\n"
+
+    def test_import_loads_no_pool_module(self):
+        proc = _run_python(
+            """
+            import sys
+            import graphbandits
+            print(sorted(
+                name for name in sys.modules
+                if name.split(".")[0] in ("multiprocessing", "concurrent")
+            ))
+            """
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestSequenceScans:

@@ -1,5 +1,6 @@
 """Band-budget inequality: single sequences, box certificates, instances."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +50,36 @@ def _scan_report(alpha, num_phases):
         violations=tuple(_decode(i, alpha, num_phases) for i in recorded),
         tightest_ratio=ratio,
         tight_witness=_decode(index, alpha, num_phases),
+        exhaustive=True,
+    )
+
+
+def _extremal_report(alpha, num_phases):
+    """The certificate's report, built from ``all_max_sequence`` one by one."""
+    candidates = [
+        all_max_sequence(alpha, num_phases, m, c)
+        for m in range(1, num_phases + 1)
+        for c in range(1, alpha + 1)
+    ]
+    failing = {inst.counts for inst in candidates if not verify_sequence(inst)[0]}
+    # exact ratio, then the lowest mixed-radix index
+    best = max(
+        candidates,
+        key=lambda inst: (
+            Fraction(sum(inst.terms()), max(inst.terms())),
+            [-count for count in inst.counts[::-1]],
+        ),
+    )
+    size = (alpha + 1) ** num_phases
+    return VerificationReport(
+        alpha=alpha,
+        num_phases=num_phases,
+        instances_checked=size,
+        nonzero_checked=size - 1,
+        violation_count=len(failing),
+        violations=tuple(sorted(failing, key=lambda counts: counts[::-1])),
+        tightest_ratio=sum(best.terms()) / max(best.terms()),
+        tight_witness=best.counts,
         exhaustive=True,
     )
 
@@ -194,6 +225,20 @@ class TestExhaustiveVerify:
     def test_matches_scan_of_the_whole_box(self, alpha, num_phases):
         assert exhaustive_verify(alpha, num_phases) == _scan_report(alpha, num_phases)
 
+    @pytest.mark.parametrize(
+        "alpha, num_phases",
+        [(1, 40), (2, 25), (5, 12), (20, 30), (37, 9), (100, 3), (1000, 2), (999, 1)],
+    )
+    @pytest.mark.parametrize("factor", [None, 2.0, 3.5])
+    def test_matches_extremal_sequences_built_in_full(
+        self, monkeypatch, alpha, num_phases, factor
+    ):
+        # long boxes, where the closed-form totals cut bands at both ends
+        if factor is not None:
+            monkeypatch.setattr(lemma, "alpha_log_factor", lambda alpha: factor)
+        report = exhaustive_verify(alpha, num_phases)
+        assert report == _extremal_report(alpha, num_phases)
+
     def test_long_box_witness_is_exact(self):
         # 2^70 overflows int64 terms; the witness's exact ratio must be the
         # reported one
@@ -238,7 +283,8 @@ class TestExhaustiveVerify:
         def fail(*args):
             raise AssertionError("built a candidate above the limit")
 
-        monkeypatch.setattr(lemma, "all_max_sequence", fail)
+        monkeypatch.setattr(lemma, "_factor_test", fail)
+        monkeypatch.setattr(lemma, "_extremal_counts", fail)
         alpha = MAX_CERTIFICATE_WORK // (1000 * 1016) + 1
         with pytest.raises(CapabilityError, match="above the limit"):
             exhaustive_verify(alpha, 1000)
