@@ -14,7 +14,7 @@ from pathlib import Path
 from .bounds import alpha_log_factor, bound_report, report_csv_header, report_csv_row
 from .config import load_experiment_config
 from .errors import CapabilityError, ConfigError, InputError
-from .graph import max_independent_set, parse_graph_spec
+from .graph import DEFAULT_EXACT_LIMIT, max_independent_set, parse_graph_spec
 from .lemma import exhaustive_verify
 from .phases import decompose
 from .sim import run_experiment, sweep_alpha, sweep_csv_lines, write_report
@@ -38,7 +38,7 @@ def _add_mis_flags(parser):
     parser.add_argument(
         "--mis-limit",
         type=int,
-        default=30,
+        default=DEFAULT_EXACT_LIMIT,
         help="largest graph solved exactly (default: %(default)s)",
     )
     parser.add_argument(

@@ -26,7 +26,7 @@ import yaml
 
 from .env import BanditInstance
 from .errors import ConfigError, InputError
-from .graph import FeedbackGraph, parse_graph_spec
+from .graph import DEFAULT_EXACT_LIMIT, FeedbackGraph, parse_graph_spec
 from .sim import ExperimentConfig
 
 __all__ = ["experiment_config_from_dict", "load_experiment_config"]
@@ -115,7 +115,7 @@ def experiment_config_from_dict(data: dict, source: str = "<config>") -> Experim
     mis_block = data.get("mis", {})
     if not isinstance(mis_block, dict):
         raise ConfigError("mis must be a mapping")
-    exact_limit = mis_block.get("exact_limit", 30)
+    exact_limit = mis_block.get("exact_limit", DEFAULT_EXACT_LIMIT)
     allow_approximate = bool(mis_block.get("allow_approximate", False))
 
     # InputError is a ValueError, so domain violations surface as config

@@ -141,7 +141,7 @@ def _neighbor_masks(graph: FeedbackGraph) -> list[int]:
     return masks
 
 
-def _clique_cover_bound(cand: int, masks, weights) -> float:
+def _clique_cover_bound(cand: int, masks, weights) -> int:
     """Upper bound on the weight of an independent subset of ``cand``.
 
     Greedily covers ``cand`` with cliques (the lowest remaining vertex, then
@@ -150,7 +150,7 @@ def _clique_cover_bound(cand: int, masks, weights) -> float:
     one vertex per clique. On the complement graph this is the colouring
     bound of maximum-clique search (Tomita & Seki 2003, Ostergard 2002).
     """
-    total = 0.0
+    total = 0
     while cand:
         low = cand & -cand
         v = low.bit_length() - 1
@@ -181,33 +181,15 @@ def _branch_vertex(cand: int, masks) -> int:
     return best_v
 
 
-def _bound_slack(weights) -> float:
-    """Relative slack the pruning bound needs against float rounding.
-
-    Every float is a dyadic rational. When the weights, scaled to their
-    largest denominator, add up to less than 2^53, every subset sum is exact
-    in any order, so the bound needs no slack (unit weights are this case).
-    Otherwise the bound and a set's running total add nonnegative weights in
-    different orders, each within k * 2^-53 of its exact sum, and a relative
-    slack of 1e-12 keeps the search from pruning a set whose float total
-    would beat the incumbent.
-    """
-    ratios = [w.as_integer_ratio() for w in weights]
-    scale = max(d for _, d in ratios)
-    if sum(n * (scale // d) for n, d in ratios) < 2**53:
-        return 1.0
-    return 1.0 + 1e-12
-
-
-def _best_value(masks, weights, slack, cand: int, base=0.0, goal=math.inf) -> float:
+def _best_value(masks, weights, cand: int, base=0, goal=math.inf) -> int:
     """Branch-and-bound maximum weight of an independent subset of ``cand``.
 
-    Returns early, with the best total found so far, once ``base + best``
-    reaches ``goal``. Float addition is monotone, so that total answers
-    "can ``base`` plus a subset of ``cand`` reach ``goal``?" the same way
-    the maximum would.
+    The weights are integers, so every sum is exact and a branch is pruned
+    as soon as its bound cannot beat the best total found. Returns early,
+    with that best total, once ``base + best`` reaches ``goal``, which
+    answers "can ``base`` plus a subset of ``cand`` reach ``goal``?".
     """
-    best = 0.0
+    best = 0
 
     def dfs(cand, acc):
         nonlocal best
@@ -217,34 +199,32 @@ def _best_value(masks, weights, slack, cand: int, base=0.0, goal=math.inf) -> fl
                 return True
         if not cand:
             return False
-        if (acc + _clique_cover_bound(cand, masks, weights)) * slack <= best:
+        if acc + _clique_cover_bound(cand, masks, weights) <= best:
             return False
         v = _branch_vertex(cand, masks)
         if dfs(cand & ~masks[v] & ~(1 << v), acc + weights[v]):
             return True
         return dfs(cand & ~(1 << v), acc)
 
-    dfs(cand, 0.0)
+    dfs(cand, 0)
     return best
 
 
-def _lex_smallest_optimal(masks, weights, slack, target: float) -> list[int]:
-    """Lexicographically smallest vertex set achieving ``target``.
+def _lex_smallest_optimal(masks, weights, goal: int) -> list[int]:
+    """Lexicographically smallest vertex set of integer weight at least ``goal``.
 
     Scans vertices in increasing order. A vertex is taken whenever taking it
-    still allows the optimum; the scan stops as soon as the running total
-    reaches the optimum, which prefers short prefixes over extensions.
+    still allows the goal; the scan stops as soon as the running total
+    reaches the goal, which prefers short prefixes over extensions.
     """
-    eps = 1e-9 * max(1.0, abs(target))
-    goal = target - eps
     chosen: list[int] = []
-    acc = 0.0
+    acc = 0
     cand = (1 << len(masks)) - 1
     while cand and acc < goal:
         v = (cand & -cand).bit_length() - 1
         with_v = cand & ~masks[v] & ~(1 << v)
         base = acc + weights[v]
-        if base + _best_value(masks, weights, slack, with_v, base, goal) >= goal:
+        if base + _best_value(masks, weights, with_v, base, goal) >= goal:
             chosen.append(v)
             acc = base
             cand = with_v
@@ -280,8 +260,9 @@ def max_independent_set(
     """Maximum-weight independent set of ``graph``.
 
     ``weights`` defaults to all ones (so the value is the independence
-    number). Exact search runs branch and bound over vertex bitmasks, pruned
-    by a greedy clique-cover bound (the largest weight per clique), and is
+    number). Exact search scales the weights to integers, so every sum is
+    exact, and runs branch and bound over vertex bitmasks, pruned by a
+    greedy clique-cover bound (the largest weight per clique). It is
     refused above ``exact_limit`` vertices unless ``allow_approximate`` is
     set, in which case a deterministic greedy answer is returned and flagged.
     Ties among maximizing sets resolve to the lexicographically smallest
@@ -310,9 +291,19 @@ def max_independent_set(
         return _greedy_set(graph, weights)
     masks = _neighbor_masks(graph)
     w = [1.0] * k if weights is None else weights
-    slack = _bound_slack(w)
-    target = _best_value(masks, w, slack, (1 << k) - 1)
-    chosen = _lex_smallest_optimal(masks, w, slack, target)
+    # Every float is a dyadic rational, so over the largest denominator the
+    # weights are integers and every subset sum below is exact.
+    ratios = [x.as_integer_ratio() for x in w]
+    scale = max(d for _, d in ratios)
+    iw = [n * (scale // d) for n, d in ratios]
+    best = _best_value(masks, iw, (1 << k) - 1)
+    try:
+        target = best / scale
+    except OverflowError:
+        raise InputError("the maximum independent-set weight overflows") from None
+    # sets within 1e-9 of the optimum (relative, absolute below 1) tie it
+    n, d = (target - 1e-9 * max(1.0, target)).as_integer_ratio()
+    chosen = _lex_smallest_optimal(masks, iw, -(-n * scale // d))
     if weights is None:
         value = len(chosen)
     else:

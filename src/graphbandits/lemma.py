@@ -19,13 +19,13 @@ from .phases import PhaseDecomposition, decompose
 # absolute slack absorbing the floating-point log2 on the integer side
 RATIO_SLACK = 1e-9
 
-# Largest box certified, in steps: each of the alpha * phases candidate
-# sequences counts one step per count plus 16 for building and checking
-# it. The one-phase box (999999, 1), the largest with at most 10^6
-# sequences, counts 16,999,983 steps and (20, 900) 16,524,000. A candidate
-# is totalled in O(log alpha) operations without building its counts, so
-# on a 2-vCPU host those two boxes take about 1.9 s and 0.05 s.
-MAX_CERTIFICATE_WORK = 20_000_000
+# Largest box certified, in steps. Each of the alpha * phases candidate
+# sequences is totalled and compared in a few operations on integers of
+# about `phases` bits: 8 steps of interpreter overhead plus one per 64-bit
+# word. On a 2-vCPU host the slowest boxes at the limit, (3, 12800) and
+# (2, 15700), take about 2.2 s, the one-phase box (1000000, 1) 1.8 s and
+# (3, 5000), at a sixth of the limit, 0.34 s.
+MAX_CERTIFICATE_WORK = 8_000_000
 
 __all__ = [
     "BandBudgetReport",
@@ -118,14 +118,9 @@ def all_max_sequence(
         raise InputError(f"peak_phase {peak_phase} outside 1..{num_phases}")
     if not 1 <= peak_count <= alpha:
         raise InputError(f"peak_count {peak_count} outside 1..alpha={alpha}")
-    counts = []
-    for p in range(1, num_phases + 1):
-        if p <= peak_phase:
-            c = min(alpha, peak_count << (peak_phase - p))
-        else:
-            c = peak_count >> (p - peak_phase)
-        counts.append(c)
-    return SequenceInstance(alpha=alpha, counts=tuple(counts))
+    return SequenceInstance(
+        alpha, _extremal_counts(alpha, num_phases, peak_phase, peak_count)
+    )
 
 
 def _extremal_counts(alpha, num_phases, m, c):
@@ -182,7 +177,7 @@ def exhaustive_verify(alpha: int, num_phases: int) -> VerificationReport:
         raise InputError(f"alpha must be at least 1, got {alpha}")
     if num_phases < 1:
         raise InputError(f"num_phases must be at least 1, got {num_phases}")
-    work = alpha * num_phases * (num_phases + 16)
+    work = alpha * num_phases * (8 + num_phases // 64)
     if work > MAX_CERTIFICATE_WORK:
         raise CapabilityError(
             f"certifying alpha={alpha} over {num_phases} phases costs {work} "

@@ -8,10 +8,9 @@ identical decisions.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from .bounds import _check_horizon, confidence_scale
 from .errors import InputError
 
 __all__ = [
@@ -35,18 +34,12 @@ def exploration_bonus(num_arms: int, horizon: int, delta: float | None = None) -
     """Squared exploration width times n: 2 * ln(2 * horizon * num_arms / delta).
 
     An arm with n observations gets the index mean + sqrt(bonus / n);
-    ``delta`` defaults to 1 / horizon.
+    ``delta`` defaults to 1 / horizon. This is a quarter of
+    ``bounds.confidence_scale``, exactly, as the factor is a power of two.
     """
-    num_arms = _check_arm_count(num_arms)
-    horizon = int(horizon)
-    if horizon < 1:
-        raise InputError(f"horizon must be positive, got {horizon}")
     if delta is None:
-        delta = 1.0 / horizon
-    delta = float(delta)
-    if not 0.0 < delta < 1.0:
-        raise InputError(f"delta must lie in (0, 1), got {delta}")
-    return 2.0 * math.log(2.0 * horizon * num_arms / delta)
+        delta = 1.0 / _check_horizon(horizon)
+    return confidence_scale(horizon, num_arms, delta) / 4
 
 
 def _check_observations(observations, num_arms: int):

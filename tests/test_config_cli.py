@@ -344,7 +344,7 @@ class TestVerifyLemmaCommand:
             "tightest ratio 2.75 at counts=(2,2,2,1); threshold 4\n"
         )
 
-    @pytest.mark.parametrize("alpha, phases", [(3, 1000), (1, 1100)])
+    @pytest.mark.parametrize("alpha, phases", [(3, 1000), (1, 1100), (3, 5000)])
     def test_long_box_exits_zero_in_bounded_memory(self, alpha, phases):
         # these boxes once crashed the sampled mode (74.5 GiB asked of
         # numpy) or overflowed a float; the certificate needs neither
@@ -358,7 +358,7 @@ class TestVerifyLemmaCommand:
         assert lines[1].startswith("tightest ratio ")
 
     def test_over_limit_box_exits_three(self):
-        proc = run_cli_capped("verify-lemma", "--alpha", "3", "--phases", "5000")
+        proc = run_cli_capped("verify-lemma", "--alpha", "3", "--phases", "20000")
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1

@@ -18,7 +18,7 @@ from graphbandits import (
     parse_graph_spec,
     star,
 )
-from graphbandits.graph import _bound_slack, _clique_cover_bound, _neighbor_masks
+from graphbandits.graph import _clique_cover_bound, _neighbor_masks
 
 from oracles import brute_force_mis, random_edges
 
@@ -131,6 +131,12 @@ class TestMaxIndependentSet:
         with pytest.raises(InputError):
             max_independent_set(cycle(5), weights=[1, 1, 1, 1, -0.5])
 
+    def test_overflowing_optimum_is_refused(self):
+        # each weight is finite but the best set's total is not
+        with pytest.raises(InputError, match="overflows"):
+            max_independent_set(edgeless(2), weights=[1e308, 1e308])
+        assert max_independent_set(complete(2), weights=[1e308, 1e308]).value == 1e308
+
     def test_exactness_limit(self):
         with pytest.raises(CapabilityError):
             max_independent_set(complete(31))
@@ -205,6 +211,12 @@ class TestAgainstEnumeration:
             (0.0, 0.5, 1.0, 2.0),
             # near ties 1e-7 apart, which the 1e-9 tie tolerance keeps apart
             (1.0, 1.0 + 1e-7, 2.0, 2.0 - 1e-7),
+            # equal weights that are not small dyadic rationals
+            (0.9 - 0.6,),
+            (1 / (0.9 - 0.6),),
+            # integers over a denominator of about 2^1050
+            (1e-300, 1e-5, 1.0, 3.0),
+            (0.0,),
         ],
     )
     def test_tie_heavy_weights_match_brute_force(self, palette):
@@ -277,18 +289,25 @@ class TestCliqueCoverBound:
     def test_bound_dominates_the_optimum_of_the_mask(self, case):
         graph, weights, cand = case
         w = [1.0] * graph.num_arms if weights is None else [float(x) for x in weights]
-        bound = _clique_cover_bound(cand, _neighbor_masks(graph), w)
+        # over the common denominator every weight and every sum is exact
+        ratios = [x.as_integer_ratio() for x in w]
+        scale = max(d for _, d in ratios)
+        iw = [n * (scale // d) for n, d in ratios]
+        bound = _clique_cover_bound(cand, _neighbor_masks(graph), iw)
         members = [v for v in range(graph.num_arms) if cand >> v & 1]
         sub, relabel = graph.induced_subgraph(members)
-        want, _ = brute_force_mis(sub.num_arms, sub.edges(), [w[v] for v in relabel])
-        # exact for unit and dyadic weights, within the search's slack otherwise
-        assert bound * _bound_slack(w) >= want
+        want = max(
+            sum(iw[v] for i, v in enumerate(relabel) if m >> i & 1)
+            for m in range(1 << sub.num_arms)
+            if not any(m >> a & 1 and m >> b & 1 for a, b in sub.edges())
+        )
+        assert bound >= want
 
     def test_cover_is_greedy_by_lowest_id(self):
         # cycle 0-1-2-3-4: cliques {0, 1}, {2, 3}, {4}
         masks = _neighbor_masks(cycle(5))
-        assert _clique_cover_bound(0b11111, masks, [1.0, 5.0, 2.0, 1.0, 3.0]) == 10.0
-        assert _clique_cover_bound(0, masks, [1.0] * 5) == 0.0
+        assert _clique_cover_bound(0b11111, masks, [1, 5, 2, 1, 3]) == 10
+        assert _clique_cover_bound(0, masks, [1] * 5) == 0
 
 
 class TestPinnedAnswers:

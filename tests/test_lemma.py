@@ -285,7 +285,7 @@ class TestExhaustiveVerify:
 
         monkeypatch.setattr(lemma, "_factor_test", fail)
         monkeypatch.setattr(lemma, "_extremal_counts", fail)
-        alpha = MAX_CERTIFICATE_WORK // (1000 * 1016) + 1
+        alpha = MAX_CERTIFICATE_WORK // (1000 * (8 + 1000 // 64)) + 1
         with pytest.raises(CapabilityError, match="above the limit"):
             exhaustive_verify(alpha, 1000)
         with pytest.raises(CapabilityError):
