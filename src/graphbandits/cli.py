@@ -35,27 +35,36 @@ def _fmt(x: float) -> str:
 
 
 def _add_mis_flags(parser):
+    # both default to None, so that only a flag actually passed overrides
+    # the config's mis block
     parser.add_argument(
         "--mis-limit",
         type=int,
-        default=DEFAULT_EXACT_LIMIT,
-        help="largest graph solved exactly (default: %(default)s)",
+        default=None,
+        help="largest graph solved exactly (default: the config's "
+        f"mis.exact_limit, else {DEFAULT_EXACT_LIMIT})",
     )
     parser.add_argument(
         "--approx-mis",
         action="store_true",
+        default=None,
         help="fall back to a greedy independent set above the limit "
-        "(default: refuse)",
+        "(default: the config's mis.allow_approximate, else refuse)",
     )
+
+
+def _load_config(args):
+    """The config of ``args.config``, with any MIS flag that was passed."""
+    config = load_experiment_config(args.config)
+    if args.mis_limit is not None:
+        config = dataclasses.replace(config, mis_exact_limit=args.mis_limit)
+    if args.approx_mis is not None:
+        config = dataclasses.replace(config, allow_approximate_mis=args.approx_mis)
+    return config
 
 
 def _cmd_simulate(args) -> int:
-    config = load_experiment_config(args.config)
-    config = dataclasses.replace(
-        config,
-        mis_exact_limit=args.mis_limit,
-        allow_approximate_mis=args.approx_mis,
-    )
+    config = _load_config(args)
     out_dir = args.out or os.environ.get(ENV_OUT_DIR) or "."
     report = run_experiment(config)
     csv_path, sidecar_path = write_report(report, out_dir)
@@ -68,15 +77,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    config = load_experiment_config(args.config)
+    config = _load_config(args)
     horizon = args.horizon if args.horizon is not None else config.horizon
     delta = args.delta if args.delta is not None else config.delta
     report = bound_report(
         config.instance,
         horizon,
         delta,
-        exact_limit=args.mis_limit,
-        allow_approximate=args.approx_mis,
+        exact_limit=config.mis_exact_limit,
+        allow_approximate=config.allow_approximate_mis,
     )
     pairs = [
         ("T", report.horizon),
@@ -100,13 +109,13 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_phases(args) -> int:
-    config = load_experiment_config(args.config)
+    config = _load_config(args)
     horizon = args.horizon if args.horizon is not None else config.horizon
     decomp = decompose(
         config.instance,
         horizon,
-        exact_limit=args.mis_limit,
-        allow_approximate=args.approx_mis,
+        exact_limit=config.mis_exact_limit,
+        allow_approximate=config.allow_approximate_mis,
     )
     print(f"alpha={decomp.alpha} max_phase={decomp.max_phase}")
     if decomp.is_empty:
@@ -134,8 +143,8 @@ def _cmd_mis(args) -> int:
     result = max_independent_set(
         graph,
         weights,
-        exact_limit=args.mis_limit,
-        allow_approximate=args.approx_mis,
+        exact_limit=DEFAULT_EXACT_LIMIT if args.mis_limit is None else args.mis_limit,
+        allow_approximate=bool(args.approx_mis),
     )
     if weights is None:
         print(f"alpha={int(result.value)}")
@@ -162,12 +171,7 @@ def _cmd_verify_lemma(args) -> int:
 
 
 def _cmd_sweep_alpha(args) -> int:
-    config = load_experiment_config(args.config)
-    config = dataclasses.replace(
-        config,
-        mis_exact_limit=args.mis_limit,
-        allow_approximate_mis=args.approx_mis,
-    )
+    config = _load_config(args)
     labeled = [(spec, parse_graph_spec(spec)) for spec in args.graphs]
     rows = sweep_alpha(config, labeled)
     lines = sweep_csv_lines(rows)

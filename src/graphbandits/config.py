@@ -116,7 +116,16 @@ def experiment_config_from_dict(data: dict, source: str = "<config>") -> Experim
     if not isinstance(mis_block, dict):
         raise ConfigError("mis must be a mapping")
     exact_limit = mis_block.get("exact_limit", DEFAULT_EXACT_LIMIT)
-    allow_approximate = bool(mis_block.get("allow_approximate", False))
+    # bool is an int subclass, so `true` would otherwise read as a limit of 1
+    if type(exact_limit) is not int or exact_limit < 0:
+        raise ConfigError(
+            f"mis.exact_limit must be a nonnegative integer, got {exact_limit!r}"
+        )
+    allow_approximate = mis_block.get("allow_approximate", False)
+    if not isinstance(allow_approximate, bool):
+        raise ConfigError(
+            f"mis.allow_approximate must be true or false, got {allow_approximate!r}"
+        )
 
     # InputError is a ValueError, so domain violations surface as config
     # errors here; capability errors pass through untouched.
@@ -130,7 +139,7 @@ def experiment_config_from_dict(data: dict, source: str = "<config>") -> Experim
             base_seed=int(seed),
             delta=delta,
             checkpoints=tuple(checkpoints) if checkpoints is not None else None,
-            mis_exact_limit=int(exact_limit),
+            mis_exact_limit=exact_limit,
             allow_approximate_mis=allow_approximate,
         )
     except (TypeError, ValueError) as exc:

@@ -4,10 +4,13 @@ Vertices are arms 0..num_arms-1. Every vertex carries a self-loop: pulling
 an arm always reveals its own reward, and the neighborhood of an arm is the
 set of arms whose rewards become visible when it is pulled. Self-loops are
 ignored by all independence computations.
+
+A graph is stored as one read-only K x K boolean adjacency matrix, True on
+the diagonal. Neighborhoods, edge lists, induced subgraphs and the bitmasks
+of the exact search are all read from it; the families build it with numpy.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,8 +20,8 @@ from .errors import CapabilityError, InputError
 
 DEFAULT_EXACT_LIMIT = 30
 
-# Largest arm count a graph may have. The simulator builds a K x K boolean
-# adjacency matrix, which at this limit takes 256 MiB.
+# Largest arm count a graph may have. Its K x K boolean adjacency matrix
+# takes 256 MiB at this limit.
 MAX_ARMS = 2**14
 
 __all__ = [
@@ -39,27 +42,40 @@ __all__ = [
 
 
 class FeedbackGraph:
-    """Immutable undirected graph with mandatory self-loops."""
+    """Immutable undirected graph with mandatory self-loops.
 
-    __slots__ = ("num_arms", "_neighbors", "_matrix")
+    Holds ``num_arms`` and one read-only boolean adjacency matrix, True on
+    the diagonal; every other view is derived from the matrix.
+    """
+
+    __slots__ = ("num_arms", "_adj")
 
     def __init__(self, num_arms: int, edges=()):
         if num_arms < 0:
             raise InputError(f"num_arms must be nonnegative, got {num_arms}")
         if num_arms > MAX_ARMS:
             raise InputError(f"num_arms must be at most {MAX_ARMS}, got {num_arms}")
-        sets = [{a} for a in range(num_arms)]
+        adj = np.eye(num_arms, dtype=bool)
         for a, b in edges:
             a, b = int(a), int(b)
             if not (0 <= a < num_arms and 0 <= b < num_arms):
                 raise InputError(
                     f"edge ({a}, {b}) is outside the vertex range 0..{num_arms - 1}"
                 )
-            sets[a].add(b)
-            sets[b].add(a)
-        object.__setattr__(self, "num_arms", num_arms)
-        object.__setattr__(self, "_neighbors", tuple(frozenset(s) for s in sets))
-        object.__setattr__(self, "_matrix", None)
+            adj[a, b] = adj[b, a] = True
+        self._store(adj)
+
+    @classmethod
+    def _from_matrix(cls, adj: np.ndarray) -> "FeedbackGraph":
+        """Wrap a symmetric bool matrix with a True diagonal, without copying."""
+        graph = cls.__new__(cls)
+        graph._store(adj)
+        return graph
+
+    def _store(self, adj):
+        adj.setflags(write=False)
+        object.__setattr__(self, "num_arms", len(adj))
+        object.__setattr__(self, "_adj", adj)
 
     def __setattr__(self, name, value):
         raise AttributeError("FeedbackGraph is immutable")
@@ -67,16 +83,12 @@ class FeedbackGraph:
     def neighborhood(self, a: int) -> frozenset:
         """Arms observed when pulling arm ``a``, including ``a`` itself."""
         self._check_vertex(a)
-        return self._neighbors[a]
+        return frozenset(np.flatnonzero(self._adj[a]).tolist())
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edges as (a, b) pairs with a < b; self-loops omitted."""
-        return [
-            (a, b)
-            for a in range(self.num_arms)
-            for b in sorted(self._neighbors[a])
-            if a < b
-        ]
+        a, b = np.nonzero(np.triu(self._adj, 1))
+        return list(zip(a.tolist(), b.tolist()))
 
     def induced_subgraph(self, subset) -> tuple["FeedbackGraph", tuple[int, ...]]:
         """Subgraph on ``subset``.
@@ -87,21 +99,11 @@ class FeedbackGraph:
         keep = sorted(set(int(v) for v in subset))
         for v in keep:
             self._check_vertex(v)
-        pos = {v: i for i, v in enumerate(keep)}
-        sub_edges = [
-            (pos[a], pos[b]) for a, b in self.edges() if a in pos and b in pos
-        ]
-        return FeedbackGraph(len(keep), sub_edges), tuple(keep)
+        return FeedbackGraph._from_matrix(self._adj[np.ix_(keep, keep)]), tuple(keep)
 
     def adjacency_matrix(self) -> np.ndarray:
         """Boolean num_arms x num_arms matrix; True on the diagonal."""
-        if self._matrix is None:
-            m = np.zeros((self.num_arms, self.num_arms), dtype=bool)
-            for a in range(self.num_arms):
-                m[a, sorted(self._neighbors[a])] = True
-            m.setflags(write=False)
-            object.__setattr__(self, "_matrix", m)
-        return self._matrix
+        return self._adj
 
     def _check_vertex(self, a):
         if not isinstance(a, (int, np.integer)) or not 0 <= a < self.num_arms:
@@ -112,13 +114,14 @@ class FeedbackGraph:
     def __eq__(self, other):
         if not isinstance(other, FeedbackGraph):
             return NotImplemented
-        return self.num_arms == other.num_arms and self._neighbors == other._neighbors
+        return np.array_equal(self._adj, other._adj)
 
     def __hash__(self):
-        return hash((self.num_arms, self._neighbors))
+        return hash((self.num_arms, np.packbits(self._adj).tobytes()))
 
     def __repr__(self):
-        return f"FeedbackGraph(num_arms={self.num_arms}, edges={len(self.edges())})"
+        num_edges = (np.count_nonzero(self._adj) - self.num_arms) // 2
+        return f"FeedbackGraph(num_arms={self.num_arms}, edges={num_edges})"
 
 
 @dataclass(frozen=True)
@@ -131,14 +134,10 @@ class IndependentSetResult:
 
 
 def _neighbor_masks(graph: FeedbackGraph) -> list[int]:
-    masks = []
-    for a in range(graph.num_arms):
-        m = 0
-        for b in graph.neighborhood(a):
-            if b != a:
-                m |= 1 << b
-        masks.append(m)
-    return masks
+    # bit b of masks[a] is set when b is a neighbour of a other than a itself
+    adj = graph.adjacency_matrix() & ~np.eye(graph.num_arms, dtype=bool)
+    rows = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def _clique_cover_bound(cand: int, masks, weights) -> int:
@@ -234,19 +233,21 @@ def _lex_smallest_optimal(masks, weights, goal: int) -> list[int]:
 
 
 def _greedy_set(graph: FeedbackGraph, weights) -> IndependentSetResult:
-    k = graph.num_arms
-    w = [1.0] * k if weights is None else weights
-    order = sorted(
-        range(k), key=lambda v: (-w[v], len(graph.neighborhood(v)), v)
-    )
+    # heaviest first, then the smallest neighborhood; the sort is stable, so
+    # remaining ties go to the lowest id
+    adj = graph.adjacency_matrix()
+    w = np.ones(graph.num_arms) if weights is None else np.array(weights)
+    order = np.lexsort((adj.sum(axis=1), -w))
     chosen: list[int] = []
-    blocked: set[int] = set()
-    for v in order:
-        if v not in blocked:
+    blocked = np.zeros(graph.num_arms, dtype=bool)
+    for v in order.tolist():
+        if not blocked[v]:
             chosen.append(v)
-            blocked.update(graph.neighborhood(v))
-    chosen.sort()
-    value = len(chosen) if weights is None else math.fsum(w[v] for v in chosen)
+            blocked |= adj[v]
+    try:
+        value = len(chosen) if weights is None else math.fsum(w[chosen].tolist())
+    except OverflowError:
+        raise InputError("the greedy independent-set weight overflows") from None
     return IndependentSetResult(frozenset(chosen), value, approximate=True)
 
 
@@ -320,17 +321,15 @@ def _require_arms(k: int) -> int:
     k = int(k)
     if k < 1:
         raise InputError(f"need at least one arm, got {k}")
+    if k > MAX_ARMS:
+        raise InputError(f"num_arms must be at most {MAX_ARMS}, got {k}")
     return k
-
-
-# The families below hand FeedbackGraph lazy edge generators, so that an arm
-# count above MAX_ARMS is refused before any edge is made.
 
 
 def complete(num_arms: int) -> FeedbackGraph:
     """Every pair of arms connected; pulling anything reveals everything."""
     k = _require_arms(num_arms)
-    return FeedbackGraph(k, ((a, b) for a in range(k) for b in range(a + 1, k)))
+    return FeedbackGraph._from_matrix(np.ones((k, k), dtype=bool))
 
 
 def edgeless(num_arms: int) -> FeedbackGraph:
@@ -340,13 +339,17 @@ def edgeless(num_arms: int) -> FeedbackGraph:
 
 def cycle(num_arms: int) -> FeedbackGraph:
     k = _require_arms(num_arms)
-    return FeedbackGraph(k, ((a, (a + 1) % k) for a in range(k)))
+    adj = np.eye(k, dtype=bool)
+    a = np.arange(k)
+    adj[a, (a + 1) % k] = adj[(a + 1) % k, a] = True
+    return FeedbackGraph._from_matrix(adj)
 
 
 def star(num_arms: int) -> FeedbackGraph:
     """Arm 0 is the hub, connected to every leaf."""
-    k = _require_arms(num_arms)
-    return FeedbackGraph(k, ((0, a) for a in range(1, k)))
+    adj = np.eye(_require_arms(num_arms), dtype=bool)
+    adj[0, :] = adj[:, 0] = True
+    return FeedbackGraph._from_matrix(adj)
 
 
 def disjoint_cliques(sizes) -> FeedbackGraph:
@@ -357,13 +360,9 @@ def disjoint_cliques(sizes) -> FeedbackGraph:
     for s in sizes:
         if s < 1:
             raise InputError(f"clique sizes must be positive, got {s}")
-    edges = (
-        (offset + a, offset + b)
-        for offset, s in zip(itertools.accumulate(sizes, initial=0), sizes)
-        for a in range(s)
-        for b in range(a + 1, s)
-    )
-    return FeedbackGraph(sum(sizes), edges)
+    _require_arms(sum(sizes))
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    return FeedbackGraph._from_matrix(block[:, None] == block[None, :])
 
 
 def erdos_renyi(num_arms: int, p: float, seed: int) -> FeedbackGraph:
@@ -373,13 +372,12 @@ def erdos_renyi(num_arms: int, p: float, seed: int) -> FeedbackGraph:
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(int(seed))
-    edges = (
-        (a, b)
-        for a in range(k)
-        for b in range(a + 1, k)
-        if rng.random() < p
-    )
-    return FeedbackGraph(k, edges)
+    # one draw per pair a < b in row-major order, without 2 GiB of index arrays
+    adj = np.eye(k, dtype=bool)
+    for a in range(k - 1):
+        adj[a, a + 1:] = rng.random(k - a - 1) < p
+    adj |= adj.T
+    return FeedbackGraph._from_matrix(adj)
 
 
 def _read_edge_list(path: str) -> FeedbackGraph:

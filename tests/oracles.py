@@ -2,10 +2,13 @@
 
 Nothing here calls the package's search or kernel code paths: the
 independent-set oracle enumerates every subset, the bound oracle evaluates
-the closed forms at 50 decimal digits, and the episode oracle composes the
-public per-step operations into the round protocol.
+the closed forms at 50 decimal digits, the episode oracle composes the
+public per-step operations into the round protocol, and the graph oracles
+build every family pair by pair over Python sets.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from mpmath import mp
@@ -124,3 +127,73 @@ def random_instance(rng, min_arms=2, max_arms=12):
     graph = FeedbackGraph(k, random_edges(rng, k, p))
     means = rng.uniform(0.0, 1.0, size=k)
     return BanditInstance(means, graph)
+
+
+def family_edges(spec):
+    """(num_arms, edge list) of a family spec, built one pair at a time.
+
+    These are the original pair-by-pair generators: the numpy-built
+    families must give the same graphs, and ``er`` must read its stream in
+    the same (a, b) row-major order.
+    """
+    name, _, rest = spec.partition(":")
+    if name == "cliques":
+        sizes = [int(s) for s in rest.split(",")]
+        edges, offset = [], 0
+        for s in sizes:
+            edges += [(offset + a, offset + b) for a in range(s) for b in range(a + 1, s)]
+            offset += s
+        return offset, edges
+    if name == "er":
+        k, p, seed = rest.split(",")
+        k, p = int(k), float(p)
+        rng = np.random.default_rng(int(seed))
+        return k, [
+            (a, b) for a in range(k) for b in range(a + 1, k) if rng.random() < p
+        ]
+    k = int(rest)
+    pairs = {
+        "complete": [(a, b) for a in range(k) for b in range(a + 1, k)],
+        "edgeless": [],
+        "cycle": [(a, (a + 1) % k) for a in range(k)],
+        "star": [(0, a) for a in range(1, k)],
+    }
+    return k, pairs[name]
+
+
+def neighbor_sets(num_arms, edges):
+    """Closed neighborhoods as frozensets, one per vertex."""
+    sets = [{a} for a in range(num_arms)]
+    for a, b in edges:
+        sets[a].add(b)
+        sets[b].add(a)
+    return [frozenset(s) for s in sets]
+
+
+def neighbor_bits(sets):
+    """Per-vertex neighbour bitmasks, self excluded, set one bit at a time."""
+    masks = []
+    for a, s in enumerate(sets):
+        m = 0
+        for b in s:
+            if b != a:
+                m |= 1 << b
+        masks.append(m)
+    return masks
+
+
+def greedy_by_hand(sets, weights=None):
+    """Greedy independent set vertex by vertex: heaviest first, then the
+    smallest neighborhood, then the lowest id. Returns (sorted vertices,
+    value)."""
+    k = len(sets)
+    w = [1.0] * k if weights is None else [float(x) for x in weights]
+    order = sorted(range(k), key=lambda v: (-w[v], len(sets[v]), v))
+    chosen, blocked = [], set()
+    for v in order:
+        if v not in blocked:
+            chosen.append(v)
+            blocked |= sets[v]
+    chosen.sort()
+    value = len(chosen) if weights is None else math.fsum(w[v] for v in chosen)
+    return chosen, value

@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 import graphbandits
+import graphbandits.graph as graph_module
 from graphbandits import (
     ConfigError,
     disjoint_cliques,
@@ -133,6 +134,12 @@ class TestConfigParsing:
             lambda d: d["run"].update(horizon=0),
             lambda d: d["run"].update(checkpoints=12),
             lambda d: d.update(mis=[1, 2]),
+            lambda d: d.update(mis={"allow_approximate": "false"}),
+            lambda d: d.update(mis={"allow_approximate": 1}),
+            lambda d: d.update(mis={"exact_limit": 2.9}),
+            lambda d: d.update(mis={"exact_limit": True}),
+            lambda d: d.update(mis={"exact_limit": -1}),
+            lambda d: d.update(mis={"exact_limit": "30"}),
         ],
     )
     def test_bad_values_become_config_errors(self, mutate):
@@ -231,6 +238,15 @@ class TestSimulateCommand:
     def test_unreadable_config_exits_two(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 2
 
+    def test_huge_vertex_id_in_config_edge_exits_two(self, config_file):
+        data = config_dict()
+        data["instance"]["graph"] = {"edges": [[0, 99999999999999999999]], "num_arms": 3}
+        proc = run_cli("simulate", "--config", config_file(data))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert "outside the vertex range 0..2" in proc.stderr
+
     def test_oversized_graph_exits_three(self, config_file, capsys):
         data = config_dict()
         data["instance"]["means"] = [0.5] * 40
@@ -238,6 +254,46 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", config_file(data)])
         assert code == 3
         assert "capability" in capsys.readouterr().err
+
+
+class TestMisSettingsPrecedence:
+    """The config's mis block holds unless a flag is passed."""
+
+    @pytest.fixture
+    def greedy_calls(self, monkeypatch):
+        calls = []
+        real = graph_module._greedy_set
+
+        def spy(graph, weights):
+            calls.append(graph.num_arms)
+            return real(graph, weights)
+
+        monkeypatch.setattr(graph_module, "_greedy_set", spy)
+        return calls
+
+    @pytest.mark.parametrize("command", ["simulate", "bounds", "phases", "sweep-alpha"])
+    def test_config_allows_approximation(self, command, config_file, tmp_path, greedy_calls):
+        data = config_dict(mis={"allow_approximate": True})
+        data["instance"] = {"means": [0.9] + [0.5] * 34, "graph": "cycle:35"}
+        args = [command, "--config", config_file(data)]
+        args += {
+            "simulate": ["--out", str(tmp_path / "out")],
+            "sweep-alpha": ["--graphs", "cycle:35"],
+        }.get(command, [])
+        assert main(args) == 0
+        assert 35 in greedy_calls
+        greedy_calls.clear()
+        assert main(args + ["--mis-limit", "40"]) == 0
+        assert greedy_calls == []
+
+    def test_flag_overrides_config(self, config_file, tmp_path, capsys):
+        data = config_dict(mis={"exact_limit": 20})
+        data["instance"] = {"means": [0.9] + [0.5] * 24, "graph": "cycle:25"}
+        path = config_file(data)
+        assert main(["bounds", "--config", path]) == 3
+        assert "limited to 20 vertices" in capsys.readouterr().err
+        assert main(["bounds", "--config", path, "--approx-mis"]) == 0
+        assert main(["bounds", "--config", path, "--mis-limit", "30"]) == 0
 
 
 class TestBoundsCommand:
@@ -316,6 +372,23 @@ class TestMisCommand:
     def test_bad_spec_exits_two(self, capsys):
         assert main(["mis", "--graph", "torus:5"]) == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_greedy_weight_overflow_exits_two(self):
+        proc = run_cli(
+            "mis", "--graph", "edgeless:31", "--approx-mis", "--weights", *["1e308"] * 31
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "input error: the greedy independent-set weight overflows\n"
+
+    @pytest.mark.parametrize("spec", ["complete:16384", "er:16384,0.5,1"])
+    def test_dense_graph_at_the_arm_limit_solves(self, spec):
+        proc = run_cli_capped("mis", "--graph", spec, "--approx-mis")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.endswith("approximate=true\n")
+        if spec.startswith("complete"):
+            assert proc.stdout == "alpha=1\nvertices=0\napproximate=true\n"
 
     def _assert_arm_limit_error(self, proc):
         assert proc.returncode == 2

@@ -18,9 +18,17 @@ from graphbandits import (
     parse_graph_spec,
     star,
 )
-from graphbandits.graph import _clique_cover_bound, _neighbor_masks
+from graphbandits.config import experiment_config_from_dict
+from graphbandits.graph import _clique_cover_bound, _greedy_set, _neighbor_masks
 
-from oracles import brute_force_mis, random_edges
+from oracles import (
+    brute_force_mis,
+    family_edges,
+    greedy_by_hand,
+    neighbor_bits,
+    neighbor_sets,
+    random_edges,
+)
 
 
 class TestFeedbackGraph:
@@ -86,6 +94,9 @@ class TestFeedbackGraph:
         assert cycle(5) != cycle(4)
         assert hash(cycle(5)) == hash(cycle(5))
         assert cycle(5) != "cycle"
+        assert cycle(4) != FeedbackGraph(4, [(0, 1), (1, 2), (2, 3)])
+        assert FeedbackGraph(0) == FeedbackGraph(0)
+        assert len({cycle(5), cycle(5), star(5)}) == 2
 
     def test_immutable(self):
         g = cycle(5)
@@ -345,15 +356,20 @@ class TestGenerators:
         with pytest.raises(InputError):
             disjoint_cliques((3, 0))
 
-    @pytest.mark.parametrize("family", ["edgeless", "cycle", "star", "file"])
+    @pytest.mark.parametrize(
+        "family", ["complete", "edgeless", "cycle", "star", "cliques", "er", "file"]
+    )
     def test_arm_limit(self, family, tmp_path):
-        # families whose graphs stay small one arm past the limit; the dense
-        # ones are run at 10^11 arms under a memory cap in the CLI tests
+        # one arm past the limit is refused before the matrix is allocated
         from graphbandits.graph import MAX_ARMS
 
         path = tmp_path / "edges.txt"
         path.write_text(f"{MAX_ARMS + 1}\n0-1\n")
-        rest = str(path) if family == "file" else str(MAX_ARMS + 1)
+        rest = {
+            "file": str(path),
+            "cliques": f"{MAX_ARMS},1",
+            "er": f"{MAX_ARMS + 1},0.5,1",
+        }.get(family, str(MAX_ARMS + 1))
         with pytest.raises(InputError, match=f"at most {MAX_ARMS}, got {MAX_ARMS + 1}"):
             parse_graph_spec(f"{family}:{rest}")
         assert FeedbackGraph(MAX_ARMS).num_arms == MAX_ARMS
@@ -436,3 +452,97 @@ class TestParseGraphSpec:
     def test_malformed_specs(self, spec):
         with pytest.raises(InputError):
             parse_graph_spec(spec)
+
+
+def _reference_corpus():
+    """(label, graph, num_arms, reference edges): every family at several
+    sizes, random clique lists and random edge lists with duplicates,
+    reversed pairs and self-loops."""
+    rng = np.random.default_rng(2024)
+    specs = []
+    for k in (1, 2, 3, 10, 30, 100, 300):
+        specs += [f"{name}:{k}" for name in ("complete", "edgeless", "cycle", "star")]
+        specs += [f"er:{k},{p},{seed}" for p in (0, 0.1, 0.5, 1) for seed in (1, 7)]
+    for _ in range(20):
+        sizes = rng.integers(1, 9, size=int(rng.integers(1, 7)))
+        specs.append("cliques:" + ",".join(str(s) for s in sizes))
+    corpus = [(spec, parse_graph_spec(spec), *family_edges(spec)) for spec in specs]
+    for i in range(60):
+        k = int(rng.integers(1, 40))
+        edges = [tuple(int(v) for v in rng.integers(0, k, 2)) for _ in range(2 * k)]
+        edges += [(b, a) for a, b in edges[: k // 2]] + [(a, a) for a, _ in edges[:3]]
+        corpus.append((f"list-{i}", FeedbackGraph(k, edges), k, edges))
+    return corpus
+
+
+class TestMatrixStorage:
+    """The adjacency matrix against graphs built pair by pair over sets."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return _reference_corpus()
+
+    def test_views_match_the_set_reference(self, corpus):
+        for label, g, k, edges in corpus:
+            sets = neighbor_sets(k, edges)
+            want = sorted({(min(a, b), max(a, b)) for a, b in edges if a != b})
+            matrix = np.zeros((k, k), dtype=bool)
+            for a, s in enumerate(sets):
+                matrix[a, sorted(s)] = True
+            assert g.num_arms == k, label
+            assert g.edges() == want, label
+            assert np.array_equal(g.adjacency_matrix(), matrix), label
+            assert [g.neighborhood(a) for a in range(k)] == sets, label
+            twin = FeedbackGraph(k, want[::-1])
+            assert g == twin and hash(g) == hash(twin), label
+
+    def test_file_and_mapping_edge_lists(self, corpus, tmp_path):
+        for label, g, k, edges in corpus:
+            if not label.startswith("list-"):
+                continue
+            path = tmp_path / f"{label}.txt"
+            path.write_text(f"{k}\n" + "".join(f"{a}-{b}\n" for a, b in edges))
+            data = {
+                "instance": {
+                    "means": [0.5] * k,
+                    "graph": {"edges": [list(e) for e in edges], "num_arms": k},
+                },
+                "policy": {"name": "ucb1"},
+                "run": {"horizon": 10},
+            }
+            mapped = experiment_config_from_dict(data).instance.graph
+            for other in (parse_graph_spec(f"file:{path}"), mapped):
+                assert other == g, label
+                assert other.edges() == g.edges(), label
+                assert np.array_equal(other.adjacency_matrix(), g.adjacency_matrix())
+
+    def test_induced_subgraph_is_the_slice(self, corpus):
+        rng = np.random.default_rng(5)
+        for label, g, k, edges in corpus[::3]:
+            keep = sorted(int(v) for v in np.flatnonzero(rng.random(k) < 0.5))
+            sub, relabel = g.induced_subgraph(keep)
+            pos = {v: i for i, v in enumerate(keep)}
+            want = sorted(
+                {(pos[a], pos[b]) for a, b in g.edges() if a in pos and b in pos}
+            )
+            assert relabel == tuple(keep)
+            assert sub == FeedbackGraph(len(keep), want), label
+
+    def test_neighbor_masks_match_bit_loop(self, corpus):
+        for label, g, k, edges in corpus:
+            assert _neighbor_masks(g) == neighbor_bits(neighbor_sets(k, edges)), label
+
+    def test_greedy_matches_vertex_by_vertex(self, corpus):
+        rng = np.random.default_rng(11)
+        for label, g, k, edges in corpus:
+            sets = neighbor_sets(k, edges)
+            for weights in (
+                None,
+                [float(x) for x in rng.integers(0, 3, k)],
+                [float(x) for x in rng.random(k)],
+            ):
+                got = _greedy_set(g, weights)
+                chosen, value = greedy_by_hand(sets, weights)
+                assert sorted(got.vertices) == chosen, label
+                assert repr(got.value) == repr(value), label
+                assert got.approximate
