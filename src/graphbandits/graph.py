@@ -180,13 +180,11 @@ def _branch_vertex(cand: int, masks) -> int:
     return best_v
 
 
-def _best_value(masks, weights, cand: int, base=0, goal=math.inf) -> int:
+def _best_value(masks, weights, cand: int) -> int:
     """Branch-and-bound maximum weight of an independent subset of ``cand``.
 
     The weights are integers, so every sum is exact and a branch is pruned
-    as soon as its bound cannot beat the best total found. Returns early,
-    with that best total, once ``base + best`` reaches ``goal``, which
-    answers "can ``base`` plus a subset of ``cand`` reach ``goal``?".
+    as soon as its bound cannot beat the best total found.
     """
     best = 0
 
@@ -194,16 +192,11 @@ def _best_value(masks, weights, cand: int, base=0, goal=math.inf) -> int:
         nonlocal best
         if acc > best:
             best = acc
-            if base + best >= goal:
-                return True
-        if not cand:
-            return False
-        if acc + _clique_cover_bound(cand, masks, weights) <= best:
-            return False
+        if not cand or acc + _clique_cover_bound(cand, masks, weights) <= best:
+            return
         v = _branch_vertex(cand, masks)
-        if dfs(cand & ~masks[v] & ~(1 << v), acc + weights[v]):
-            return True
-        return dfs(cand & ~(1 << v), acc)
+        dfs(cand & ~masks[v] & ~(1 << v), acc + weights[v])
+        dfs(cand & ~(1 << v), acc)
 
     dfs(cand, 0)
     return best
@@ -212,23 +205,26 @@ def _best_value(masks, weights, cand: int, base=0, goal=math.inf) -> int:
 def _lex_smallest_optimal(masks, weights, goal: int) -> list[int]:
     """Lexicographically smallest vertex set of integer weight at least ``goal``.
 
-    Scans vertices in increasing order. A vertex is taken whenever taking it
-    still allows the goal; the scan stops as soon as the running total
-    reaches the goal, which prefers short prefixes over extensions.
+    Depth-first over the lowest remaining vertex, taking it before leaving
+    it out, and stops at the first set that reaches the goal. A prefix is
+    met before its extensions, so that set is the smallest sorted tuple.
     """
     chosen: list[int] = []
-    acc = 0
-    cand = (1 << len(masks)) - 1
-    while cand and acc < goal:
-        v = (cand & -cand).bit_length() - 1
-        with_v = cand & ~masks[v] & ~(1 << v)
-        base = acc + weights[v]
-        if base + _best_value(masks, weights, with_v, base, goal) >= goal:
-            chosen.append(v)
-            acc = base
-            cand = with_v
-        else:
-            cand &= ~(1 << v)
+
+    def dfs(cand, acc):
+        if acc >= goal:
+            return True
+        if not cand or acc + _clique_cover_bound(cand, masks, weights) < goal:
+            return False
+        low = cand & -cand
+        v = low.bit_length() - 1
+        chosen.append(v)
+        if dfs(cand & ~masks[v] & ~low, acc + weights[v]):
+            return True
+        chosen.pop()
+        return dfs(cand ^ low, acc)
+
+    dfs((1 << len(masks)) - 1, 0)
     return chosen
 
 
@@ -267,8 +263,9 @@ def max_independent_set(
     refused above ``exact_limit`` vertices unless ``allow_approximate`` is
     set, in which case a deterministic greedy answer is returned and flagged.
     Ties among maximizing sets resolve to the lexicographically smallest
-    sorted vertex tuple, found by a vertex-by-vertex scan whose searches stop
-    as soon as the optimum is shown to be reachable.
+    sorted vertex tuple: a second, lowest-vertex-first search stops at the
+    first set that reaches the optimum. A graph whose search would recurse
+    deeper than the interpreter allows is refused like one above the limit.
     """
     k = graph.num_arms
     if weights is not None:
@@ -280,14 +277,19 @@ def max_independent_set(
         for w in weights:
             if not math.isfinite(w) or w < 0:
                 raise InputError(f"weights must be finite and nonnegative, got {w}")
+    if exact_limit < 0:
+        raise InputError(
+            "exact_limit (--mis-limit, mis.exact_limit) must be nonnegative, "
+            f"got {exact_limit}"
+        )
     if k == 0:
         return IndependentSetResult(frozenset(), 0 if weights is None else 0.0)
     if k > exact_limit:
         if not allow_approximate:
             raise CapabilityError(
                 f"exact independent-set search is limited to {exact_limit} "
-                f"vertices (graph has {k}); pass allow_approximate=True to "
-                "accept a greedy answer"
+                f"vertices (graph has {k}); pass allow_approximate=True "
+                "(--approx-mis, mis.allow_approximate) to accept a greedy answer"
             )
         return _greedy_set(graph, weights)
     masks = _neighbor_masks(graph)
@@ -297,14 +299,19 @@ def max_independent_set(
     ratios = [x.as_integer_ratio() for x in w]
     scale = max(d for _, d in ratios)
     iw = [n * (scale // d) for n, d in ratios]
-    best = _best_value(masks, iw, (1 << k) - 1)
     try:
-        target = best / scale
+        target = _best_value(masks, iw, (1 << k) - 1) / scale
+        # sets within 1e-9 of the optimum (relative, absolute below 1) tie it
+        n, d = (target - 1e-9 * max(1.0, target)).as_integer_ratio()
+        chosen = _lex_smallest_optimal(masks, iw, -(-n * scale // d))
     except OverflowError:
         raise InputError("the maximum independent-set weight overflows") from None
-    # sets within 1e-9 of the optimum (relative, absolute below 1) tie it
-    n, d = (target - 1e-9 * max(1.0, target)).as_integer_ratio()
-    chosen = _lex_smallest_optimal(masks, iw, -(-n * scale // d))
+    except RecursionError:
+        # both searches may recurse once per vertex
+        raise CapabilityError(
+            f"exact independent-set search on {k} vertices is deeper than the "
+            "interpreter's recursion limit"
+        ) from None
     if weights is None:
         value = len(chosen)
     else:

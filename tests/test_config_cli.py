@@ -272,7 +272,9 @@ class TestMisSettingsPrecedence:
         return calls
 
     @pytest.mark.parametrize("command", ["simulate", "bounds", "phases", "sweep-alpha"])
-    def test_config_allows_approximation(self, command, config_file, tmp_path, greedy_calls):
+    def test_config_allows_approximation(
+        self, command, config_file, tmp_path, greedy_calls, capsys
+    ):
         data = config_dict(mis={"allow_approximate": True})
         data["instance"] = {"means": [0.9] + [0.5] * 34, "graph": "cycle:35"}
         args = [command, "--config", config_file(data)]
@@ -285,6 +287,8 @@ class TestMisSettingsPrecedence:
         greedy_calls.clear()
         assert main(args + ["--mis-limit", "40"]) == 0
         assert greedy_calls == []
+        assert main(args + ["--mis-limit", "-1"]) == 2
+        assert "--mis-limit" in capsys.readouterr().err
 
     def test_flag_overrides_config(self, config_file, tmp_path, capsys):
         data = config_dict(mis={"exact_limit": 20})
@@ -363,7 +367,21 @@ class TestMisCommand:
 
     def test_capability_gate_and_greedy_escape(self, capsys):
         assert main(["mis", "--graph", "complete:40"]) == 3
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert "--approx-mis" in err and "mis.allow_approximate" in err
+        assert main(["mis", "--graph", "cycle:5", "--mis-limit", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "input error: exact_limit (--mis-limit, mis.exact_limit) must be "
+            "nonnegative, got -1\n"
+        )
+        # a search deeper than the interpreter's stack is refused, not crashed
+        proc = run_cli("mis", "--graph", "edgeless:1000", "--mis-limit", "5000")
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            "capability error: exact independent-set search on 1000 vertices "
+            "is deeper than the interpreter's recursion limit\n"
+        )
         assert main(["mis", "--graph", "complete:40", "--approx-mis"]) == 0
         out = capsys.readouterr().out
         assert "alpha=1" in out

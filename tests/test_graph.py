@@ -231,8 +231,8 @@ class TestAgainstEnumeration:
         ],
     )
     def test_tie_heavy_weights_match_brute_force(self, palette):
-        # the exact set checks the lexicographic tie-break and the probes
-        # that stop as soon as the optimum is reachable
+        # the exact set checks the lexicographic tie-break: the search that
+        # stops at the first set reaching the optimum must find the smallest
         rng = np.random.default_rng(7)
         for _ in range(80):
             k = int(rng.integers(2, 15))
@@ -334,6 +334,34 @@ class TestPinnedAnswers:
         got = max_independent_set(parse_graph_spec("cycle:30"))
         assert got.value == 15
         assert sorted(got.vertices) == list(range(0, 30, 2))
+
+    # beyond brute-force size: the lexicographic rule on known optima
+    def test_cycle_100(self):
+        got = max_independent_set(parse_graph_spec("cycle:100"), exact_limit=100)
+        assert got.value == 50
+        assert sorted(got.vertices) == list(range(0, 100, 2))
+
+    def test_star_200(self):
+        g = parse_graph_spec("star:200")
+        got = max_independent_set(g, exact_limit=200)
+        assert got.value == 199
+        assert sorted(got.vertices) == list(range(1, 200))
+        # a hub worth exactly the leaves ties them, and (0,) sorts first
+        got = max_independent_set(g, weights=[199.0] + [1.0] * 199, exact_limit=200)
+        assert got.value == 199.0
+        assert got.vertices == {0}
+
+    def test_weighted_cliques_10x10(self):
+        # weights 1..2.75 repeat every 8 ids, so some cliques hold two
+        # heaviest vertices; the lower id wins each tie
+        weights = [1 + (3 * v % 8) / 4 for v in range(100)]
+        got = max_independent_set(
+            parse_graph_spec("cliques:" + ",".join(["10"] * 10)),
+            weights=weights,
+            exact_limit=100,
+        )
+        assert got.value == 27.5
+        assert sorted(got.vertices) == [5, 13, 21, 37, 45, 53, 61, 77, 85, 93]
 
 
 class TestGenerators:
