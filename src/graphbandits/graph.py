@@ -383,8 +383,31 @@ def erdos_renyi(num_arms: int, p: float, seed: int) -> FeedbackGraph:
     adj = np.eye(k, dtype=bool)
     for a in range(k - 1):
         adj[a, a + 1:] = rng.random(k - a - 1) < p
-    adj |= adj.T
+    _symmetrise(adj)
     return FeedbackGraph._from_matrix(adj)
+
+
+# Side of the square blocks ``_symmetrise`` pairs. The rows of a block lie a
+# whole matrix row apart, so at a power-of-two K larger blocks contend for
+# the same cache sets: at K = 16384 (2 vCPUs) 128 took 0.44 s, 64 0.61 s and
+# 256 1.4 s.
+_TILE = 128
+
+
+def _symmetrise(adj):
+    """``adj |= adj.T`` in place, one block and its mirror block at a time.
+
+    The whole-matrix form reads the transpose a column at a time across the
+    full matrix; a block pair is read and written in cache-sized pieces.
+    """
+    k = adj.shape[0]
+    for i in range(0, k, _TILE):
+        rows = slice(i, i + _TILE)
+        for j in range(i, k, _TILE):
+            cols = slice(j, j + _TILE)
+            block = adj[rows, cols] | adj[cols, rows].T
+            adj[rows, cols] = block
+            adj[cols, rows] = block.T
 
 
 def _read_edge_list(path: str) -> FeedbackGraph:

@@ -12,13 +12,25 @@ The UCB policies draw no other randomness, so a run takes its uniforms in
 and every graph of the batch reads the same block: matched seeds mean
 matched rewards. The last block stops at the horizon, so a generator ends
 where the one-round-at-a-time loop would leave it. Thompson sampling keeps
-the per-round interleave of ``random(K)`` and ``beta(...)`` on each
+the per-round interleave of ``random(K)`` and the Beta draw on each
 (graph, run) generator; only its argmax and its updates are batched.
-That per-episode Beta draw is a fixed cost per round that batching cannot
-share, so a large Thompson-sampling batch splits its runs across the usable
-CPUs: this process runs the first share and a forked child (``workers``)
-each other one, and the shares are joined along the run axis, bit-identical
-to one process.
+
+For an arm with a > 1 or b > 1, ``Generator.beta`` draws
+``standard_gamma(a)``, then ``standard_gamma(b)``, and returns
+Ga / (Ga + Gb). The loop therefore keeps the Beta parameters interleaved
+per arm, draws an episode's round with one ``standard_gamma`` call on them,
+and forms the whole batch's samples with one add and one divide: the same
+bits, and the generator left where ``beta`` would leave it, with one
+argument check per call instead of two and a broadcast. An arm never
+observed (a = b = 1) is drawn by Johnk's algorithm instead, so an episode
+that still has one keeps ``beta`` for that round.
+
+Each episode still makes two generator calls per round, about 14 us at
+K = 10 and 22 us at K = 100, that batching cannot share, so a large
+Thompson-sampling batch splits its runs across the usable CPUs: this
+process runs the first share and a forked child (``workers``) each other
+one, and the shares are joined along the run axis, bit-identical to one
+process.
 
 The sequence scan enumerates a box of band sequences by brute force. The
 package itself does not call it; the tests compare ``lemma.exhaustive_verify``,
@@ -50,11 +62,12 @@ _BLOCK_DOUBLES = 1 << 15
 
 # A Thompson-sampling batch is split across CPUs only above this many
 # episode rounds (graphs x runs x horizon). Forking a worker and reading its
-# answer costs about 2.5-5 ms, and each episode round handed to it saves
-# about 11 us at K = 10 (2 vCPUs, Python 3.11, numpy 2.4): split in two, a
-# T = 10, R = 2 batch took 5 ms against 0.5 ms in one process, T = 1024,
-# R = 2 took 58 ms against 48 ms, and T = 4096, R = 2 took 134 ms against
-# 166 ms.
+# answer costs about 4-5 ms, and each episode round handed to it saves
+# about 12-14 us at K = 10 (2 shared vCPUs, Python 3.11, numpy 2.4, median
+# of 15): split in two, a T = 10, R = 2 batch took 5.2-5.6 ms against
+# 0.8-0.9 ms in one process, T = 256 14-17 ms against 13-14 ms, T = 1024
+# 42-46 ms against 49 ms, and T = 4096 149-155 ms against 199-201 ms. The
+# floor stays well above that break-even, as the other CPUs may be busy.
 _SPLIT_FLOOR = 1 << 13
 
 
@@ -177,23 +190,42 @@ def _ts_batch(means, adj, horizon, gens, regret):
     num_graphs, num_arms = adj.shape[0], adj.shape[1]
     num_runs = len(gens) // num_graphs
     shape = (num_graphs, num_runs, num_arms)
-    # Beta parameters: successes + 1 and failures + 1, exact in float64
-    a = np.ones(shape, dtype=np.float64)
-    b = np.ones(shape, dtype=np.float64)
+    # Beta parameters, successes + 1 and failures + 1 (exact in float64),
+    # interleaved per arm as (a, b): the order in which ``Generator.beta``
+    # draws its two gammas for an arm with a > 1 or b > 1
+    ab = np.ones((*shape, 2), dtype=np.float64)
+    a, b = ab[..., 0], ab[..., 1]
+    # the gamma draws, ones until drawn: rows of an episode still on
+    # ``beta`` then divide 1 by 2, never 0 by 0
+    gammas = np.ones_like(ab)
+    gamma_a, gamma_b = gammas[..., 0], gammas[..., 1]
     u = np.empty(shape, dtype=np.float64)
     theta = np.empty(shape, dtype=np.float64)
     rows = adj.reshape(num_graphs * num_arms, num_arms)
     row_base = (np.arange(num_graphs, dtype=np.int64) * num_arms)[:, None]
     flat_u = u.reshape(-1, num_arms)
-    flat_a = a.reshape(-1, num_arms)
-    flat_b = b.reshape(-1, num_arms)
+    flat_ab = ab.reshape(-1, 2 * num_arms)
+    flat_gammas = gammas.reshape(-1, 2 * num_arms)
     flat_theta = theta.reshape(-1, num_arms)
+    # Episodes with an arm never observed (a = b = 1), for which ``beta``
+    # uses Johnk's algorithm instead of two gammas; counts only grow, so an
+    # episode that leaves this set never comes back.
+    fresh = set(range(len(gens)))
+    draws = list(zip(gens, flat_u, flat_ab, flat_gammas))
     arms = regret.arms
     for start, n in _blocks(horizon, arms.shape[0]):
         for i in range(n):
-            for e, gen in enumerate(gens):
-                gen.random(out=flat_u[e])
-                flat_theta[e] = gen.beta(flat_a[e], flat_b[e])
+            drawn = []
+            for e, (gen, u_row, ab_row, g_row) in enumerate(draws):
+                gen.random(out=u_row)
+                if e in fresh:
+                    drawn.append((e, gen.beta(ab_row[0::2], ab_row[1::2])))
+                else:
+                    gen.standard_gamma(ab_row, out=g_row)
+            np.add(gamma_a, gamma_b, out=theta)
+            np.divide(gamma_a, theta, out=theta)
+            for e, row in drawn:
+                flat_theta[e] = row
             arm = theta.argmax(axis=2)
             observed = rows.take(row_base + arm, axis=0)
             win = u < means
@@ -203,6 +235,9 @@ def _ts_batch(means, adj, horizon, gens, regret):
             a += win
             b += lose
             arms[i] = arm
+            if fresh:
+                unseen = (a + b == 2.0).any(axis=2).reshape(-1)
+                fresh = set(np.flatnonzero(unseen).tolist())
         regret.fold(start, n)
     return a - 1.0, b - 1.0
 
@@ -210,8 +245,8 @@ def _ts_batch(means, adj, horizon, gens, regret):
 def _share_count(policy, num_episodes, num_runs, horizon, keep_pulls):
     """How many processes share a batch's runs; 1 keeps it in this one.
 
-    Only Thompson sampling splits: its per-(graph, run) Beta draw is a
-    fixed cost per episode round that only more CPUs can share, while the
+    Only Thompson sampling splits: its per-(graph, run) generator calls are
+    a fixed cost per episode round that only more CPUs can share, while the
     UCB loops pay per round for all runs at once.
     """
     if (

@@ -3,7 +3,10 @@
 Each run gets an independent generator derived from (base_seed, run index).
 Within a round the episode loop draws one uniform per arm for the reward
 vector and, for Thompson sampling, one Beta sample per arm, so trajectories
-are fully determined by the stream.
+are fully determined by the stream. ``kernels`` draws those Beta samples
+as the pairs of gammas ``Generator.beta`` would draw, in one generator call
+per episode and round, and keeps ``beta`` itself while an episode has an
+arm it has never observed: the same bits either way.
 
 ``run_experiment`` advances all its runs together in one batched loop
 (``kernels.run_episode_batch``), and ``sweep_alpha`` advances every

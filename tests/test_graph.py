@@ -19,7 +19,13 @@ from graphbandits import (
     star,
 )
 from graphbandits.config import experiment_config_from_dict
-from graphbandits.graph import _clique_cover_bound, _greedy_set, _neighbor_masks
+from graphbandits import graph as graph_module
+from graphbandits.graph import (
+    _clique_cover_bound,
+    _greedy_set,
+    _neighbor_masks,
+    _symmetrise,
+)
 
 from oracles import (
     brute_force_mis,
@@ -555,6 +561,16 @@ class TestMatrixStorage:
             )
             assert relabel == tuple(keep)
             assert sub == FeedbackGraph(len(keep), want), label
+
+    @pytest.mark.parametrize("tile", [None, 7])
+    @pytest.mark.parametrize("k", [1, 2, 127, 128, 129, 300])
+    def test_tiled_symmetrisation_is_or_with_transpose(self, monkeypatch, tile, k):
+        if tile is not None:
+            monkeypatch.setattr(graph_module, "_TILE", tile)
+        m = np.random.default_rng(k).random((k, k)) < 0.3
+        want = m | m.T
+        _symmetrise(m)
+        assert m.tobytes() == want.tobytes()
 
     def test_neighbor_masks_match_bit_loop(self, corpus):
         for label, g, k, edges in corpus:

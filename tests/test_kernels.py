@@ -3,7 +3,8 @@
 The episode loops are checked against the step-by-step policy objects
 composed by hand, one episode per run, which must give bit-identical pulls,
 regret and final state. A Thompson-sampling batch split across forked
-workers must equal the same batch run in one process bit for bit.
+workers must equal the same batch run in one process bit for bit, and its
+gamma-pair Beta draws must equal numpy's own ``Generator.beta``.
 """
 import os
 import subprocess
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import graphbandits
 from graphbandits import (
@@ -127,6 +130,7 @@ def _check_against_by_hand(policy, instance, graphs, horizon, num_runs, seed, ma
                 state = (obj.counts, obj.sums)
             assert np.array_equal(batch.state_a[g, run], state[0])
             assert np.array_equal(batch.state_b[g, run], state[1])
+    return batch
 
 
 POLICIES = ["ucb-n", "ucb1", "ts-n"]
@@ -424,6 +428,64 @@ class TestSplitBatches:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+
+# Beta counts: the exponential branch (1), small shapes and large ones
+_COUNTS = st.one_of(st.just(1), st.integers(2, 8), st.integers(1, 2**15))
+
+
+class TestThompsonDraws:
+    """The Thompson-sampling loop draws Beta samples as interleaved gammas
+    and keeps ``Generator.beta`` for episodes with an arm never observed."""
+
+    @given(
+        st.lists(
+            st.tuples(_COUNTS, _COUNTS).filter(lambda ab: ab != (1, 1)),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_interleaved_gammas_are_numpys_beta(self, pairs, seed):
+        ab = np.array(pairs, dtype=np.float64)
+        want_gen = np.random.default_rng(seed)
+        want = want_gen.beta(ab[:, 0], ab[:, 1])
+        gen = np.random.default_rng(seed)
+        gammas = np.empty(ab.size)
+        gen.standard_gamma(ab.reshape(-1), out=gammas)
+        got = gammas[0::2] / (gammas[0::2] + gammas[1::2])
+        cause = (
+            "Generator.beta(a, b) no longer draws standard_gamma(a), then "
+            "standard_gamma(b), per arm and returns Ga / (Ga + Gb); the "
+            "Thompson-sampling loop in kernels relies on it"
+        )
+        assert got.tobytes() == want.tobytes(), cause
+        assert gen.bit_generator.state == want_gen.bit_generator.state, cause
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_batch_mixing_beta_and_gamma_episodes(self, monkeypatch, split):
+        # At a horizon below K, every edgeless episode keeps an arm it never
+        # observes and draws through beta to the end; complete episodes
+        # leave beta after round 0 and two-clique ones once both cliques
+        # have been observed.
+        graphs = [complete(40), disjoint_cliques((20, 20)), edgeless(40)]
+        inst = BanditInstance(np.linspace(0.05, 0.95, 40), graphs[0])
+        horizon = 30
+        num_runs = 3
+        splits = []
+        if split:
+            floor = kernels._SPLIT_FLOOR
+            splits = _force_split(monkeypatch, 2)
+            monkeypatch.setattr(kernels, "_SPLIT_FLOOR", floor)
+            num_runs = floor // (len(graphs) * horizon) + 1
+        batch = _check_against_by_hand(
+            "ts-n", inst, graphs, horizon, num_runs, 3, [0, 1, 2, 7, 29]
+        )
+        assert splits == ([2] if split else [])
+        unseen = (batch.state_a + batch.state_b == 0).any(axis=2)
+        assert not unseen[0].any()
+        assert unseen[2].all()
+        _assert_no_child_left()
 
 
 class TestSequenceScans:
