@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 
 from .env import BanditInstance, gaps
-from .errors import InputError
+from .errors import InputError, at_least
 from .graph import DEFAULT_EXACT_LIMIT, independence_number, max_independent_set
 
 __all__ = [
@@ -23,27 +23,6 @@ __all__ = [
 ]
 
 
-def _check_horizon(horizon) -> int:
-    horizon = int(horizon)
-    if horizon < 1:
-        raise InputError(f"horizon must be at least 1, got {horizon}")
-    return horizon
-
-
-def _check_arms(num_arms) -> int:
-    num_arms = int(num_arms)
-    if num_arms < 1:
-        raise InputError(f"num_arms must be at least 1, got {num_arms}")
-    return num_arms
-
-
-def _check_alpha(alpha) -> int:
-    alpha = int(alpha)
-    if alpha < 1:
-        raise InputError(f"alpha must be at least 1, got {alpha}")
-    return alpha
-
-
 def _check_hardness(value) -> float:
     value = float(value)
     if not math.isfinite(value) or value < 0.0:
@@ -53,13 +32,13 @@ def _check_hardness(value) -> float:
 
 def alpha_log_factor(alpha: int) -> float:
     """The independence factor log2(alpha) + 3 shared by the improved bounds."""
-    return math.log2(_check_alpha(alpha)) + 3.0
+    return math.log2(at_least("alpha", alpha)) + 3.0
 
 
 def confidence_scale(horizon: int, num_arms: int, delta: float) -> float:
     """The sample-threshold scale 8 * ln(2 * horizon * num_arms / delta)."""
-    horizon = _check_horizon(horizon)
-    num_arms = _check_arms(num_arms)
+    horizon = at_least("horizon", horizon)
+    num_arms = at_least("num_arms", num_arms)
     delta = float(delta)
     if not 0.0 < delta < 1.0:
         raise InputError(f"delta must lie in the open interval (0, 1), got {delta}")
@@ -99,7 +78,7 @@ def hardness(
 
 def log_horizon_bound(scale: float, horizon: int, hardness_value: float) -> float:
     """Regret budget carrying the log-horizon factor: 4*scale*ln(T)*H + 1."""
-    horizon = _check_horizon(horizon)
+    horizon = at_least("horizon", horizon)
     return 4.0 * float(scale) * math.log(horizon) * _check_hardness(hardness_value) + 1.0
 
 
@@ -115,8 +94,8 @@ def ucbn_regret_bound(
     horizon: int, num_arms: int, alpha: int, hardness_value: float
 ) -> float:
     """Pseudo-regret bound for UCB-N: 8*ln(2*K*T^2)*(log2(a)+3)*H + 2."""
-    horizon = _check_horizon(horizon)
-    num_arms = _check_arms(num_arms)
+    horizon = at_least("horizon", horizon)
+    num_arms = at_least("num_arms", num_arms)
     return (
         8.0
         * math.log(2.0 * num_arms * float(horizon) * float(horizon))
@@ -128,9 +107,9 @@ def ucbn_regret_bound(
 
 def gap_free_regret_bound(horizon: int, num_arms: int, alpha: int) -> float:
     """Gap-independent bound: 2 + 4*sqrt(2*a*T*ln(2*K*T^2)*(log2(a)+3))."""
-    horizon = _check_horizon(horizon)
-    num_arms = _check_arms(num_arms)
-    alpha = _check_alpha(alpha)
+    horizon = at_least("horizon", horizon)
+    num_arms = at_least("num_arms", num_arms)
+    alpha = at_least("alpha", alpha)
     inner = (
         2.0
         * alpha
@@ -170,7 +149,7 @@ def bound_report(
     ``delta`` defaults to 1/horizon, the setting under which the UCB-N
     bound is stated.
     """
-    horizon = _check_horizon(horizon)
+    horizon = at_least("horizon", horizon)
     if delta is None:
         delta = 1.0 / horizon
     alpha = independence_number(
@@ -194,37 +173,34 @@ def bound_report(
     )
 
 
-_CSV_COLUMNS = (
-    "T",
-    "K",
-    "delta",
-    "alpha",
-    "H",
-    "L",
-    "lemma_original",
-    "lemma_improved",
-    "theorem",
-    "corollary",
+# (key, BoundReport field) in the order every report is written
+_REPORT_KEYS = (
+    ("T", "horizon"),
+    ("K", "num_arms"),
+    ("delta", "delta"),
+    ("alpha", "alpha"),
+    ("H", "hardness"),
+    ("L", "scale"),
+    ("lemma_original", "log_horizon_value"),
+    ("lemma_improved", "log_alpha_value"),
+    ("theorem", "ucbn_bound"),
+    ("corollary", "gap_free_bound"),
 )
 
 
+def format_value(x) -> str:
+    """An integer as it is, a real to 12 significant digits."""
+    return str(x) if isinstance(x, int) else format(float(x), ".12g")
+
+
+def report_pairs(report: BoundReport) -> list[tuple[str, str]]:
+    """(key, text) of every bound of ``report``, keys ``T`` to ``corollary``."""
+    return [(key, format_value(getattr(report, field))) for key, field in _REPORT_KEYS]
+
+
 def report_csv_header() -> str:
-    return ",".join(_CSV_COLUMNS)
+    return ",".join(key for key, _ in _REPORT_KEYS)
 
 
 def report_csv_row(report: BoundReport) -> str:
-    values = (
-        report.horizon,
-        report.num_arms,
-        report.delta,
-        report.alpha,
-        report.hardness,
-        report.scale,
-        report.log_horizon_value,
-        report.log_alpha_value,
-        report.ucbn_bound,
-        report.gap_free_bound,
-    )
-    return ",".join(
-        str(v) if isinstance(v, int) else format(float(v), ".12g") for v in values
-    )
+    return ",".join(text for _, text in report_pairs(report))

@@ -11,7 +11,14 @@ import os
 import sys
 from pathlib import Path
 
-from .bounds import alpha_log_factor, bound_report, report_csv_header, report_csv_row
+from .bounds import (
+    alpha_log_factor,
+    bound_report,
+    format_value,
+    report_csv_header,
+    report_csv_row,
+    report_pairs,
+)
 from .config import load_experiment_config
 from .errors import CapabilityError, ConfigError, InputError
 from .graph import DEFAULT_EXACT_LIMIT, max_independent_set, parse_graph_spec
@@ -28,10 +35,6 @@ EXIT_CAPABILITY = 3
 ENV_OUT_DIR = "GRAPHBANDITS_OUT"
 
 __all__ = ["main"]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
 
 
 def _add_mis_flags(parser):
@@ -70,7 +73,7 @@ def _cmd_simulate(args) -> int:
     csv_path, sidecar_path = write_report(report, out_dir)
     print(
         f"wrote {csv_path} and {sidecar_path}; "
-        f"mean final regret {_fmt(report.mean_final_regret)} "
+        f"mean final regret {format_value(report.mean_final_regret)} "
         f"over {config.num_runs} run(s)"
     )
     return EXIT_OK
@@ -87,18 +90,7 @@ def _cmd_bounds(args) -> int:
         exact_limit=config.mis_exact_limit,
         allow_approximate=config.allow_approximate_mis,
     )
-    pairs = [
-        ("T", report.horizon),
-        ("K", report.num_arms),
-        ("delta", _fmt(report.delta)),
-        ("alpha", report.alpha),
-        ("H", _fmt(report.hardness)),
-        ("L", _fmt(report.scale)),
-        ("lemma_original", _fmt(report.log_horizon_value)),
-        ("lemma_improved", _fmt(report.log_alpha_value)),
-        ("theorem", _fmt(report.ucbn_bound)),
-        ("corollary", _fmt(report.gap_free_bound)),
-    ]
+    pairs = report_pairs(report)
     width = max(len(k) for k, _ in pairs)
     for key, value in pairs:
         print(f"{key:<{width}}  {value}")
@@ -149,7 +141,7 @@ def _cmd_mis(args) -> int:
     if weights is None:
         print(f"alpha={int(result.value)}")
     else:
-        print(f"value={_fmt(result.value)}")
+        print(f"value={format_value(result.value)}")
     print(f"vertices={','.join(str(v) for v in sorted(result.vertices))}")
     if result.approximate:
         print("approximate=true")
@@ -162,8 +154,8 @@ def _cmd_verify_lemma(args) -> int:
     counts = ",".join(str(c) for c in report.tight_witness)
     threshold = alpha_log_factor(report.alpha)
     print(
-        f"tightest ratio {_fmt(report.tightest_ratio)} at counts=({counts}); "
-        f"threshold {_fmt(threshold)}"
+        f"tightest ratio {format_value(report.tightest_ratio)} at counts=({counts}); "
+        f"threshold {format_value(threshold)}"
     )
     for counts in report.violations:
         print(f"violation: counts=({','.join(str(c) for c in counts)})")

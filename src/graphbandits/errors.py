@@ -15,3 +15,11 @@ class ConfigError(GraphBanditsError):
 
 class CapabilityError(GraphBanditsError):
     """The request exceeds what this build can compute exactly."""
+
+
+def at_least(name: str, value, low: int = 1) -> int:
+    """``value`` as an int, refused with an InputError below ``low``."""
+    value = int(value)
+    if value < low:
+        raise InputError(f"{name} must be at least {low}, got {value}")
+    return value

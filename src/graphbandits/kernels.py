@@ -44,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import workers
-from .errors import InputError
+from .errors import InputError, at_least
+from .policies import check_policy
 
 __all__ = [
     "EpisodeBatch",
@@ -310,11 +311,8 @@ def run_episode_batch(
     """
     means = np.ascontiguousarray(means, dtype=np.float64)
     adj = np.ascontiguousarray(adj, dtype=np.bool_)
-    horizon = int(horizon)
-    if horizon < 1:
-        raise InputError(f"horizon must be positive, got {horizon}")
-    if policy not in ("ucb-n", "ucb1", "ts-n"):
-        raise InputError(f"unknown policy {policy!r}")
+    horizon = at_least("horizon", horizon)
+    check_policy(policy)
     marks = [int(m) for m in marks]
     if marks != sorted(set(marks)) or not all(0 <= m < horizon for m in marks):
         raise InputError(
@@ -430,13 +428,6 @@ def _scan_range(alpha, num_phases, start, stop, threshold, slack, max_record):
     return nonzero, total_violations, violations, best_ratio, best_index
 
 
-def _check_scan_args(alpha, num_phases):
-    if alpha < 1:
-        raise InputError(f"alpha must be at least 1, got {alpha}")
-    if num_phases < 1:
-        raise InputError(f"num_phases must be at least 1, got {num_phases}")
-
-
 def scan_sequences_range(
     alpha: int,
     num_phases: int,
@@ -454,7 +445,8 @@ def scan_sequences_range(
     totals are int64, so results hold only while alpha * 2^(num_phases + 1)
     is below 2^63.
     """
-    _check_scan_args(alpha, num_phases)
+    alpha = at_least("alpha", alpha)
+    num_phases = at_least("num_phases", num_phases)
     total = (alpha + 1) ** num_phases
     if not 0 <= start <= stop <= total:
         raise InputError(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .bounds import alpha_log_factor, hardness
 from .env import BanditInstance
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, at_least
 from .graph import DEFAULT_EXACT_LIMIT
 from .phases import PhaseDecomposition, decompose
 
@@ -49,9 +49,7 @@ class SequenceInstance:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        alpha = int(self.alpha)
-        if alpha < 1:
-            raise InputError(f"alpha must be at least 1, got {alpha}")
+        alpha = at_least("alpha", self.alpha)
         counts = tuple(int(c) for c in self.counts)
         if not counts:
             raise InputError("need at least one band count")
@@ -171,12 +169,8 @@ def exhaustive_verify(alpha: int, num_phases: int) -> VerificationReport:
     of the box. Raises CapabilityError before any work when the box costs
     more than MAX_CERTIFICATE_WORK.
     """
-    alpha = int(alpha)
-    num_phases = int(num_phases)
-    if alpha < 1:
-        raise InputError(f"alpha must be at least 1, got {alpha}")
-    if num_phases < 1:
-        raise InputError(f"num_phases must be at least 1, got {num_phases}")
+    alpha = at_least("alpha", alpha)
+    num_phases = at_least("num_phases", num_phases)
     work = alpha * num_phases * (8 + num_phases // 64)
     if work > MAX_CERTIFICATE_WORK:
         raise CapabilityError(

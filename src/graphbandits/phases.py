@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .env import BanditInstance, gaps
-from .errors import InputError
+from .errors import InputError, at_least
 from .graph import DEFAULT_EXACT_LIMIT, independence_number, max_independent_set
 
 __all__ = [
@@ -48,9 +48,7 @@ def max_phase_index(horizon: int, delta_min: float | None) -> int:
     dropped. ``delta_min`` of None (no suboptimal arm) yields 0: nothing
     to decompose.
     """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise InputError(f"horizon must be positive, got {horizon}")
+    horizon = at_least("horizon", horizon)
     if delta_min is None:
         return 0
     return min(int(math.log(horizon)), phase_of(delta_min))

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import _check_horizon, confidence_scale
-from .errors import InputError
+from .bounds import confidence_scale
+from .errors import InputError, at_least
 
 __all__ = [
     "POLICY_NAMES",
@@ -23,13 +23,6 @@ __all__ = [
 ]
 
 
-def _check_arm_count(num_arms: int) -> int:
-    num_arms = int(num_arms)
-    if num_arms < 1:
-        raise InputError(f"need at least one arm, got {num_arms}")
-    return num_arms
-
-
 def exploration_bonus(num_arms: int, horizon: int, delta: float | None = None) -> float:
     """Squared exploration width times n: 2 * ln(2 * horizon * num_arms / delta).
 
@@ -38,7 +31,7 @@ def exploration_bonus(num_arms: int, horizon: int, delta: float | None = None) -
     ``bounds.confidence_scale``, exactly, as the factor is a power of two.
     """
     if delta is None:
-        delta = 1.0 / _check_horizon(horizon)
+        delta = 1.0 / at_least("horizon", horizon)
     return confidence_scale(horizon, num_arms, delta) / 4
 
 
@@ -67,16 +60,11 @@ class UcbNPolicy:
     have an infinite index. Ties resolve to the lowest arm id.
     """
 
-    uses_neighbor_observations = True
-
     def __init__(self, num_arms: int, horizon: int, delta: float | None = None):
-        self.num_arms = _check_arm_count(num_arms)
-        horizon = int(horizon)
-        if horizon < 1:
-            raise InputError(f"horizon must be positive, got {horizon}")
-        self.horizon = horizon
-        self.delta = 1.0 / horizon if delta is None else float(delta)
-        self.bonus = exploration_bonus(self.num_arms, horizon, delta)
+        self.num_arms = at_least("num_arms", num_arms)
+        self.horizon = at_least("horizon", horizon)
+        self.delta = 1.0 / self.horizon if delta is None else float(delta)
+        self.bonus = exploration_bonus(self.num_arms, self.horizon, delta)
         self.counts = np.zeros(self.num_arms, dtype=np.float64)
         self.sums = np.zeros(self.num_arms, dtype=np.float64)
 
@@ -99,8 +87,6 @@ class UcbNPolicy:
 class Ucb1Policy(UcbNPolicy):
     """Same index as UcbNPolicy but ignores every reward except the pull's own."""
 
-    uses_neighbor_observations = False
-
     def update(self, observations, pulled: int | None = None, rng=None):
         if pulled is None:
             raise InputError("Ucb1Policy.update needs the pulled arm id")
@@ -116,10 +102,8 @@ class Ucb1Policy(UcbNPolicy):
 class TsNPolicy:
     """Thompson sampling with Beta posteriors fed by neighbor observations."""
 
-    uses_neighbor_observations = True
-
     def __init__(self, num_arms: int, horizon: int | None = None, delta=None):
-        self.num_arms = _check_arm_count(num_arms)
+        self.num_arms = at_least("num_arms", num_arms)
         self.successes = np.zeros(self.num_arms, dtype=np.float64)
         self.failures = np.zeros(self.num_arms, dtype=np.float64)
 
@@ -152,17 +136,31 @@ class TsNPolicy:
 POLICY_NAMES = ("ucb-n", "ucb1", "ts-n")
 
 
+def check_policy(name: str, delta: float | None = None) -> str:
+    """``name`` when it is a known policy that accepts ``delta``."""
+    if name not in POLICY_NAMES:
+        raise InputError(
+            f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}"
+        )
+    if name == "ts-n" and delta is not None:
+        raise InputError("ts-n does not take a delta parameter")
+    return name
+
+
+def episode_bonus(
+    name: str, num_arms: int, horizon: int, delta: float | None = None
+) -> float:
+    """The ``bonus`` the episode kernels take: ``exploration_bonus`` for the
+    UCB policies, 0.0 for ``ts-n``, which has no exploration width."""
+    if check_policy(name, delta) == "ts-n":
+        return 0.0
+    return exploration_bonus(num_arms, horizon, delta)
+
+
 def make_policy(name: str, num_arms: int, horizon: int, delta: float | None = None):
     """Instantiate a policy by its command-line name."""
-    key = str(name).strip().lower()
-    if key == "ucb-n":
-        return UcbNPolicy(num_arms, horizon, delta)
-    if key == "ucb1":
-        return Ucb1Policy(num_arms, horizon, delta)
+    key = check_policy(str(name).strip().lower(), delta)
     if key == "ts-n":
-        if delta is not None:
-            raise InputError("ts-n does not take a delta parameter")
         return TsNPolicy(num_arms)
-    raise InputError(
-        f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}"
-    )
+    cls = UcbNPolicy if key == "ucb-n" else Ucb1Policy
+    return cls(num_arms, horizon, delta)

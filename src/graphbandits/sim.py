@@ -29,11 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .bounds import BoundReport, bound_report
+from .bounds import BoundReport, bound_report, format_value, report_pairs
 from .env import BanditInstance, gaps
-from .errors import InputError
+from .errors import InputError, at_least
 from .graph import DEFAULT_EXACT_LIMIT, FeedbackGraph
-from .policies import POLICY_NAMES, exploration_bonus
+from .policies import check_policy, episode_bonus
 
 __all__ = [
     "EpisodeResult",
@@ -54,9 +54,7 @@ __all__ = [
 
 def default_checkpoints(horizon: int) -> tuple[int, ...]:
     """Powers of two up to the horizon, plus the horizon itself."""
-    horizon = int(horizon)
-    if horizon < 1:
-        raise InputError(f"horizon must be positive, got {horizon}")
+    horizon = at_least("horizon", horizon)
     points = []
     p = 1
     while p <= horizon:
@@ -82,27 +80,17 @@ class ExperimentConfig:
     allow_approximate_mis: bool = False
 
     def __post_init__(self):
-        if self.policy not in POLICY_NAMES:
-            raise InputError(
-                f"unknown policy {self.policy!r}; expected one of "
-                f"{', '.join(POLICY_NAMES)}"
-            )
-        horizon = int(self.horizon)
-        if horizon < 1:
-            raise InputError(f"horizon must be positive, got {horizon}")
+        check_policy(self.policy, self.delta)
+        horizon = at_least("horizon", self.horizon)
         if horizon == 1 and self.delta is None:
             raise InputError(
                 "run.horizon must be at least 2 when no delta is given: the "
                 "default delta 1/horizon would be 1.0, outside (0, 1)"
             )
-        num_runs = int(self.num_runs)
-        if num_runs < 1:
-            raise InputError(f"num_runs must be positive, got {num_runs}")
+        num_runs = at_least("num_runs", self.num_runs)
         base_seed = int(self.base_seed)
         if base_seed < 0:
             raise InputError(f"seed must be nonnegative, got {base_seed}")
-        if self.policy == "ts-n" and self.delta is not None:
-            raise InputError("ts-n does not take a delta parameter")
         if self.checkpoints is None:
             checkpoints = default_checkpoints(horizon)
         else:
@@ -147,17 +135,7 @@ def run_episode(
     Pseudo-regret uses the instance's gaps, not realized rewards, so the
     trajectory is noise-free given the pull sequence.
     """
-    if policy not in POLICY_NAMES:
-        raise InputError(
-            f"unknown policy {policy!r}; expected one of {', '.join(POLICY_NAMES)}"
-        )
-    horizon = int(horizon)
-    if policy == "ts-n":
-        if delta is not None:
-            raise InputError("ts-n does not take a delta parameter")
-        bonus = 0.0
-    else:
-        bonus = exploration_bonus(instance.num_arms, horizon, delta)
+    bonus = episode_bonus(policy, instance.num_arms, horizon, delta)
     pulls, _, _ = kernels.run_episode_arrays(
         policy,
         instance.means,
@@ -199,10 +177,6 @@ class RegretReport:
 def _run_batch(config: ExperimentConfig, graphs) -> kernels.EpisodeBatch:
     """Run every run of ``config`` on every graph, with matched seeds."""
     instance = config.instance
-    if config.policy == "ts-n":
-        bonus = 0.0
-    else:
-        bonus = exploration_bonus(instance.num_arms, config.horizon, config.delta)
     matrices = [graph.adjacency_matrix() for graph in graphs]
     # a single matrix is viewed, not copied: at the arm limit it is 256 MiB
     adj = matrices[0][None] if len(matrices) == 1 else np.stack(matrices)
@@ -213,7 +187,9 @@ def _run_batch(config: ExperimentConfig, graphs) -> kernels.EpisodeBatch:
         config.horizon,
         lambda run: episode_stream(config.base_seed, run),
         config.num_runs,
-        bonus=bonus,
+        bonus=episode_bonus(
+            config.policy, instance.num_arms, config.horizon, config.delta
+        ),
         gaps=gaps(instance).gaps,
         marks=[c - 1 for c in config.checkpoints],
     )
@@ -259,40 +235,28 @@ def run_experiment(config: ExperimentConfig) -> RegretReport:
     return _report(config, batch.marked[0], batch.final[0], overlay)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def regret_csv_lines(report: RegretReport) -> list[str]:
     lines = ["checkpoint,mean_regret,stderr,min,max"]
     for i, checkpoint in enumerate(report.checkpoints):
         lines.append(
-            f"{checkpoint},{_fmt(report.mean[i])},{_fmt(report.stderr[i])},"
-            f"{_fmt(report.low[i])},{_fmt(report.high[i])}"
+            f"{checkpoint},{format_value(report.mean[i])},"
+            f"{format_value(report.stderr[i])},{format_value(report.low[i])},"
+            f"{format_value(report.high[i])}"
         )
     return lines
 
 
 def sidecar_lines(report: RegretReport) -> list[str]:
     """Key-value lines echoing the config and every bound overlay."""
-    b = report.bounds
+    config = report.config
     pairs = [
-        ("policy", report.config.policy),
-        ("family", report.config.instance.family),
-        ("runs", report.config.num_runs),
-        ("seed", report.config.base_seed),
-        ("T", b.horizon),
-        ("K", b.num_arms),
-        ("delta", _fmt(b.delta)),
-        ("alpha", b.alpha),
-        ("H", _fmt(b.hardness)),
-        ("L", _fmt(b.scale)),
-        ("lemma_original", _fmt(b.log_horizon_value)),
-        ("lemma_improved", _fmt(b.log_alpha_value)),
-        ("theorem", _fmt(b.ucbn_bound)),
-        ("corollary", _fmt(b.gap_free_bound)),
-        ("mean_final_regret", _fmt(report.mean_final_regret)),
-        ("stderr_final_regret", _fmt(report.stderr_final_regret)),
+        ("policy", config.policy),
+        ("family", config.instance.family),
+        ("runs", config.num_runs),
+        ("seed", config.base_seed),
+        *report_pairs(report.bounds),
+        ("mean_final_regret", format_value(report.mean_final_regret)),
+        ("stderr_final_regret", format_value(report.stderr_final_regret)),
     ]
     return [f"{key}={value}" for key, value in pairs]
 
@@ -369,8 +333,8 @@ def sweep_csv_lines(rows) -> list[str]:
     lines = ["graph,alpha,mean_final_regret,stderr,theorem,corollary"]
     for row in rows:
         lines.append(
-            f"{row.label},{row.alpha},{_fmt(row.mean_final_regret)},"
-            f"{_fmt(row.stderr_final_regret)},{_fmt(row.ucbn_bound)},"
-            f"{_fmt(row.gap_free_bound)}"
+            f"{row.label},{row.alpha},{format_value(row.mean_final_regret)},"
+            f"{format_value(row.stderr_final_regret)},"
+            f"{format_value(row.ucbn_bound)},{format_value(row.gap_free_bound)}"
         )
     return lines
