@@ -168,7 +168,10 @@ def _cmd_sweep_alpha(args) -> int:
     rows = sweep_alpha(config, labeled)
     lines = sweep_csv_lines(rows)
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write output to {args.out}: {exc}") from None
         print(f"wrote {args.out}")
     else:
         for line in lines:
@@ -261,6 +264,10 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        # numpy's allocation failure names the size it asked for
+        print(f"capability error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_CAPABILITY
 
 
 if __name__ == "__main__":

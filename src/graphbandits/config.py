@@ -17,6 +17,11 @@ Configs are YAML mappings with three blocks:
     mis:                          # optional block
       exact_limit: 30
       allow_approximate: false
+
+Integer fields (``run.horizon``, ``run.runs``, ``run.seed``, each
+checkpoint, a graph mapping's ``num_arms`` and edge ids, and
+``mis.exact_limit``) must be YAML integers: ``1.5`` or ``true`` is refused,
+not truncated or read as 1. Means must be reals, not ``true``/``false``.
 """
 from __future__ import annotations
 
@@ -38,6 +43,13 @@ def _require(mapping, key: str, label: str):
     if key not in mapping:
         raise ConfigError(f"missing required field: {label}")
     return mapping[key]
+
+
+def _integer(value, label: str) -> int:
+    # bool is an int subclass, so `true` would otherwise read as 1
+    if type(value) is not int:
+        raise ConfigError(f"{label} must be an integer, got {value!r}")
+    return value
 
 
 def _graph_from_value(value, label: str) -> FeedbackGraph:
@@ -62,22 +74,17 @@ def _graph_from_value(value, label: str) -> FeedbackGraph:
                         f"{label}.edges: expected 'a-b', got {item!r}"
                     ) from None
             elif isinstance(item, (list, tuple)) and len(item) == 2:
-                try:
-                    pair = (int(item[0]), int(item[1]))
-                except (TypeError, ValueError):
-                    raise ConfigError(
-                        f"{label}.edges: expected a pair of ints, got {item!r}"
-                    ) from None
+                pair = tuple(_integer(v, f"{label}.edges vertex id") for v in item)
             else:
                 raise ConfigError(
                     f"{label}.edges: expected 'a-b' or [a, b], got {item!r}"
                 )
             edges.append(pair)
             top = max(top, pair[0], pair[1])
-        num_arms = value.get("num_arms", top + 1)
+        num_arms = _integer(value.get("num_arms", top + 1), f"{label}.num_arms")
         try:
-            return FeedbackGraph(int(num_arms), edges)
-        except (InputError, TypeError, ValueError) as exc:
+            return FeedbackGraph(num_arms, edges)
+        except InputError as exc:
             raise ConfigError(f"{label}: {exc}") from exc
     raise ConfigError(f"{label} must be a graph spec string or a mapping")
 
@@ -90,6 +97,9 @@ def experiment_config_from_dict(data: dict, source: str = "<config>") -> Experim
     means = _require(instance_block, "means", "instance.means")
     if not isinstance(means, list) or not means:
         raise ConfigError("instance.means must be a nonempty list of reals")
+    for mean in means:
+        if isinstance(mean, bool):
+            raise ConfigError(f"instance.means must be reals, got {mean!r}")
     graph = _graph_from_value(
         _require(instance_block, "graph", "instance.graph"), "instance.graph"
     )
@@ -105,22 +115,23 @@ def experiment_config_from_dict(data: dict, source: str = "<config>") -> Experim
             raise ConfigError(f"policy.delta must be a real, got {delta!r}") from None
 
     run_block = _require(data, "run", "run")
-    horizon = _require(run_block, "horizon", "run.horizon")
-    runs = run_block.get("runs", 1)
-    seed = run_block.get("seed", 0)
+    horizon = _integer(_require(run_block, "horizon", "run.horizon"), "run.horizon")
+    runs = _integer(run_block.get("runs", 1), "run.runs")
+    seed = _integer(run_block.get("seed", 0), "run.seed")
     checkpoints = run_block.get("checkpoints")
-    if checkpoints is not None and not isinstance(checkpoints, list):
-        raise ConfigError("run.checkpoints must be a list of round indices")
+    if checkpoints is not None:
+        if not isinstance(checkpoints, list):
+            raise ConfigError("run.checkpoints must be a list of round indices")
+        checkpoints = tuple(_integer(c, "run.checkpoints") for c in checkpoints)
 
     mis_block = data.get("mis", {})
     if not isinstance(mis_block, dict):
         raise ConfigError("mis must be a mapping")
-    exact_limit = mis_block.get("exact_limit", DEFAULT_EXACT_LIMIT)
-    # bool is an int subclass, so `true` would otherwise read as a limit of 1
-    if type(exact_limit) is not int or exact_limit < 0:
-        raise ConfigError(
-            f"mis.exact_limit must be a nonnegative integer, got {exact_limit!r}"
-        )
+    exact_limit = _integer(
+        mis_block.get("exact_limit", DEFAULT_EXACT_LIMIT), "mis.exact_limit"
+    )
+    if exact_limit < 0:
+        raise ConfigError(f"mis.exact_limit must be nonnegative, got {exact_limit}")
     allow_approximate = mis_block.get("allow_approximate", False)
     if not isinstance(allow_approximate, bool):
         raise ConfigError(
@@ -134,11 +145,11 @@ def experiment_config_from_dict(data: dict, source: str = "<config>") -> Experim
         return ExperimentConfig(
             instance=instance,
             policy=str(policy_name),
-            horizon=int(horizon),
-            num_runs=int(runs),
-            base_seed=int(seed),
+            horizon=horizon,
+            num_runs=runs,
+            base_seed=seed,
             delta=delta,
-            checkpoints=tuple(checkpoints) if checkpoints is not None else None,
+            checkpoints=checkpoints,
             mis_exact_limit=exact_limit,
             allow_approximate_mis=allow_approximate,
         )
@@ -151,7 +162,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = yaml.safe_load(text)

@@ -262,13 +262,21 @@ def sidecar_lines(report: RegretReport) -> list[str]:
 
 
 def write_report(report: RegretReport, out_dir) -> tuple[Path, Path]:
-    """Write regret.csv and bounds.txt under ``out_dir``; returns the paths."""
+    """Write regret.csv and bounds.txt under ``out_dir``; returns the paths.
+
+    An ``out_dir`` that cannot be created or written to raises InputError.
+    """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "regret.csv"
     sidecar_path = out / "bounds.txt"
-    csv_path.write_text("\n".join(regret_csv_lines(report)) + "\n", encoding="utf-8")
-    sidecar_path.write_text("\n".join(sidecar_lines(report)) + "\n", encoding="utf-8")
+    csv_text = "\n".join(regret_csv_lines(report)) + "\n"
+    sidecar_text = "\n".join(sidecar_lines(report)) + "\n"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        csv_path.write_text(csv_text, encoding="utf-8")
+        sidecar_path.write_text(sidecar_text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write output to {out}: {exc}") from None
     return csv_path, sidecar_path
 
 

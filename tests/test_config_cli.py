@@ -39,23 +39,24 @@ _CLI_ENV = {
 }
 
 
-def run_cli(*args, **kwargs):
+def run_cli(*args, env=None, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "graphbandits.cli", *args],
         capture_output=True,
         text=True,
-        env=_CLI_ENV,
+        env={**_CLI_ENV, **(env or {})},
         **kwargs,
     )
 
 
-def run_cli_capped(*args):
-    # 2 GiB of address space: a request that outgrows its limits ends in a
-    # MemoryError traceback instead of taking the machine's memory
+def run_cli_capped(*args, **kwargs):
+    # 2 GiB of address space: a request that outgrows its limits fails its
+    # allocation instead of taking the machine's memory
     cap = 2 << 30
     return run_cli(
         *args,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        **kwargs,
     )
 
 
@@ -140,6 +141,10 @@ class TestConfigParsing:
             lambda d: d.update(mis={"exact_limit": True}),
             lambda d: d.update(mis={"exact_limit": -1}),
             lambda d: d.update(mis={"exact_limit": "30"}),
+            lambda d: d["run"].update(seed=1.5),
+            lambda d: d["run"].update(runs=True),
+            lambda d: d["run"].update(checkpoints=[1, 2.5]),
+            lambda d: d["instance"].update(graph={"edges": [[0, 1]], "num_arms": 3.0}),
         ],
     )
     def test_bad_values_become_config_errors(self, mutate):
@@ -536,3 +541,115 @@ class TestParserPlumbing:
         proc = run_cli("verify-lemma", "--alpha", "2", "--phases", "4")
         assert proc.returncode == 0
         assert "81 sequences, 0 violations" in proc.stdout
+
+
+def _write(path, content):
+    """``content`` as raw bytes, or a config mapping as YAML; returns the path."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(yaml.safe_dump(content))
+    return str(path)
+
+
+def _simulate(t, section, **fields):
+    """simulate argv for the default config with ``fields`` set in ``section``."""
+    data = config_dict()
+    data[section].update(fields)
+    return ["simulate", "--config", _write(t / "c.yaml", data), "--out", str(t / "out")]
+
+
+def _config(t):
+    return _write(t / "c.yaml", config_dict())
+
+
+# exit code, text in stderr, build(tmp_path) -> (argv, extra environment)
+_BAD_INPUTS = [
+    pytest.param(
+        2, "cannot write output to",
+        lambda t: (
+            ["simulate", "--config", _config(t), "--out", _write(t / "f", b"")], {}
+        ),
+        id="out-dir-is-a-file",
+    ),
+    pytest.param(
+        2, "cannot write output to",
+        lambda t: (
+            ["simulate", "--config", _config(t)],
+            {"GRAPHBANDITS_OUT": _write(t / "f", b"") + "/x"},
+        ),
+        id="env-out-dir-under-a-file",
+    ),
+    pytest.param(
+        2, "cannot write output to",
+        lambda t: (
+            ["sweep-alpha", "--config", _config(t), "--graphs", "cycle:3",
+             "--out", str(t / "missing" / "x.csv")],
+            {},
+        ),
+        id="sweep-out-in-missing-dir",
+    ),
+    pytest.param(
+        2, "cannot read config",
+        lambda t: (["bounds", "--config", _write(t / "c.yaml", b"\xff\xfe")], {}),
+        id="config-not-utf8",
+    ),
+    pytest.param(
+        3, "capability error",
+        lambda t: (_simulate(t, "run", runs=10**11), {}),
+        id="runs-beyond-memory",
+    ),
+    pytest.param(
+        2, "run.runs",
+        lambda t: (_simulate(t, "run", runs=1.5), {}),
+        id="fractional-runs",
+    ),
+    pytest.param(
+        2, "run.horizon",
+        lambda t: (_simulate(t, "run", horizon=10.7), {}),
+        id="fractional-horizon",
+    ),
+    pytest.param(
+        2, "instance.graph.edges",
+        lambda t: (
+            _simulate(t, "instance", graph={"edges": [[0, 1.5]], "num_arms": 3}),
+            {},
+        ),
+        id="fractional-edge-id",
+    ),
+    pytest.param(
+        2, "instance.means",
+        lambda t: (_simulate(t, "instance", means=[True, 0.5, 0.5]), {}),
+        id="bool-mean",
+    ),
+    pytest.param(
+        2, "alpha",
+        lambda t: (["verify-lemma", "--alpha", "0", "--phases", "3"], {}),
+        id="lemma-alpha-zero",
+    ),
+    pytest.param(
+        2, "horizon",
+        lambda t: (["phases", "--config", _config(t), "--horizon", "0"], {}),
+        id="phases-horizon-zero",
+    ),
+    pytest.param(
+        2, "weights must be finite",
+        lambda t: (["mis", "--graph", "cycle:3", "--weights", "nan", "1", "1"], {}),
+        id="mis-nan-weight",
+    ),
+    pytest.param(
+        2, "edge probability",
+        lambda t: (["mis", "--graph", "er:10,2,1"], {}),
+        id="mis-edge-probability-two",
+    ),
+]
+
+
+@pytest.mark.parametrize("code, needle, build", _BAD_INPUTS)
+def test_bad_input_exits_with_one_line(code, needle, build, tmp_path):
+    argv, env = build(tmp_path)
+    proc = run_cli_capped(*argv, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert needle in proc.stderr
