@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, at_least
 
 DEFAULT_EXACT_LIMIT = 30
 
@@ -325,9 +325,7 @@ def independence_number(graph: FeedbackGraph, **kwargs) -> int:
 
 
 def _require_arms(k: int) -> int:
-    k = int(k)
-    if k < 1:
-        raise InputError(f"need at least one arm, got {k}")
+    k = at_least("num_arms", k)
     if k > MAX_ARMS:
         raise InputError(f"num_arms must be at most {MAX_ARMS}, got {k}")
     return k
