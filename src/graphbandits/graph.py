@@ -5,13 +5,13 @@ an arm always reveals its own reward, and the neighborhood of an arm is the
 set of arms whose rewards become visible when it is pulled. Self-loops are
 ignored by all independence computations.
 
-A graph is stored as one read-only K x K boolean adjacency matrix, True on
-the diagonal. Neighborhoods, edge lists, induced subgraphs and the bitmasks
-of the exact search are all read from it; the families build it with numpy.
+A graph is one read-only K x K boolean adjacency matrix, True on the
+diagonal; every view of it, the search's bitmasks too, is read from it.
 """
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +42,7 @@ __all__ = [
 
 
 class FeedbackGraph:
-    """Immutable undirected graph with mandatory self-loops.
-
-    Holds ``num_arms`` and one read-only boolean adjacency matrix, True on
-    the diagonal; every other view is derived from the matrix.
-    """
+    """Immutable undirected graph with mandatory self-loops."""
 
     __slots__ = ("num_arms", "_adj")
 
@@ -91,11 +87,7 @@ class FeedbackGraph:
         return list(zip(a.tolist(), b.tolist()))
 
     def induced_subgraph(self, subset) -> tuple["FeedbackGraph", tuple[int, ...]]:
-        """Subgraph on ``subset``.
-
-        Returns the relabeled graph together with the tuple mapping new
-        vertex ids back to the original ones (sorted order).
-        """
+        """Subgraph on ``subset`` and the sorted original ids of its vertices."""
         keep = sorted(set(int(v) for v in subset))
         for v in keep:
             self._check_vertex(v)
@@ -133,14 +125,17 @@ class IndependentSetResult:
     approximate: bool = False
 
 
-def _neighbor_masks(graph: FeedbackGraph) -> list[int]:
-    # bit b of masks[a] is set when b is a neighbour of a other than a itself
-    adj = graph.adjacency_matrix() & ~np.eye(graph.num_arms, dtype=bool)
+def _neighbor_masks(graph: FeedbackGraph, order=None) -> list[int]:
+    # bit b of masks[a] is set when b is a neighbour of a other than a itself,
+    # vertex i standing for order[i] when an order is given
+    adj = graph.adjacency_matrix()
+    if order is not None:
+        adj = adj.take(order, 0).take(order, 1)
     rows = np.packbits(adj, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+    return [int.from_bytes(r.tobytes(), "little") ^ 1 << i for i, r in enumerate(rows)]
 
 
-def _clique_cover_bound(cand: int, masks, weights) -> int:
+def _clique_cover_bound(cand: int, masks, weights, classes=None) -> int:
     """Upper bound on the weight of an independent subset of ``cand``.
 
     Greedily covers ``cand`` with cliques (the lowest remaining vertex, then
@@ -148,57 +143,67 @@ def _clique_cover_bound(cand: int, masks, weights) -> int:
     up the largest weight in each clique. An independent set holds at most
     one vertex per clique. On the complement graph this is the colouring
     bound of maximum-clique search (Tomita & Seki 2003, Ostergard 2002).
+    A ``classes`` list gets each clique but lone vertices (no neighbour in
+    ``cand``) as (members, top weight, the summed top weights and the
+    members of the cliques before it).
     """
-    total = 0
-    while cand:
-        low = cand & -cand
+    total = free = covered = 0
+    rest = cand
+    while rest:
+        low = rest & -rest
         v = low.bit_length() - 1
         top = weights[v]
-        cand ^= low
-        common = cand & masks[v]
+        rest ^= low
+        if not cand & masks[v]:
+            free += top
+            continue
+        members = low
+        common = rest & masks[v]
         while common:
             low = common & -common
             v = low.bit_length() - 1
             if weights[v] > top:
                 top = weights[v]
-            cand ^= low
+            rest ^= low
+            members |= low
             common &= masks[v]
+        if classes is not None:
+            classes.append((members, top, total, covered))
+            covered |= members
         total += top
-    return total
-
-
-def _branch_vertex(cand: int, masks) -> int:
-    # branch on the highest-degree candidate; ties go to the lowest id
-    best_v, best_d = -1, -1
-    m = cand
-    while m:
-        v = (m & -m).bit_length() - 1
-        d = (masks[v] & cand).bit_count()
-        if d > best_d:
-            best_v, best_d = v, d
-        m &= m - 1
-    return best_v
+    return total + free
 
 
 def _best_value(masks, weights, cand: int) -> int:
     """Branch-and-bound maximum weight of an independent subset of ``cand``.
 
-    The weights are integers, so every sum is exact and a branch is pruned
-    as soon as its bound cannot beat the best total found.
+    Colour-ordered search (Tomita & Seki 2003) on the complement graph: a
+    node takes its lone vertices (no weight is negative), then tries the
+    others from the last clique of its cover back; taking ``v`` leaves the
+    cliques before its own, which bound the branch. It recurses at most
+    alpha + 1 deep.
     """
     best = 0
 
-    def dfs(cand, acc):
+    def expand(cand, acc):
         nonlocal best
+        classes = []
+        acc += _clique_cover_bound(cand, masks, weights, classes)
+        if classes:  # keep only the lone vertices' weight
+            acc -= classes[-1][1] + classes[-1][2]
         if acc > best:
             best = acc
-        if not cand or acc + _clique_cover_bound(cand, masks, weights) <= best:
-            return
-        v = _branch_vertex(cand, masks)
-        dfs(cand & ~masks[v] & ~(1 << v), acc + weights[v])
-        dfs(cand & ~(1 << v), acc)
+        for members, top, prefix, earlier in reversed(classes):
+            base = acc + prefix
+            if base + top <= best:
+                return
+            while members:
+                v = members.bit_length() - 1
+                members ^= 1 << v
+                if base + weights[v] > best:
+                    expand(earlier & ~masks[v], acc + weights[v])
 
-    dfs(cand, 0)
+    expand(cand, 0)
     return best
 
 
@@ -258,22 +263,19 @@ def max_independent_set(
 
     ``weights`` defaults to all ones (so the value is the independence
     number). Exact search scales the weights to integers, so every sum is
-    exact, and runs branch and bound over vertex bitmasks, pruned by a
-    greedy clique-cover bound (the largest weight per clique). It is
-    refused above ``exact_limit`` vertices unless ``allow_approximate`` is
-    set, in which case a deterministic greedy answer is returned and flagged.
-    Ties among maximizing sets resolve to the lexicographically smallest
-    sorted vertex tuple: a second, lowest-vertex-first search stops at the
-    first set that reaches the optimum. A graph whose search would recurse
-    deeper than the interpreter allows is refused like one above the limit.
+    exact, and finds the optimum by branch and bound; ties go to the
+    lexicographically smallest sorted vertex tuple, the first set at the
+    optimum that a lowest-vertex-first search meets. That search recurses
+    once per vertex, and a graph too deep for the interpreter is refused,
+    as is one above ``exact_limit`` vertices unless ``allow_approximate``
+    asks for a deterministic greedy answer, flagged as such. The last
+    ``_MEMO_SIZE`` exact answers are kept per (graph, weights).
     """
     k = graph.num_arms
     if weights is not None:
         weights = [float(w) for w in weights]
         if len(weights) != k:
-            raise InputError(
-                f"expected {k} weights, got {len(weights)}"
-            )
+            raise InputError(f"expected {k} weights, got {len(weights)}")
         for w in weights:
             if not math.isfinite(w) or w < 0:
                 raise InputError(f"weights must be finite and nonnegative, got {w}")
@@ -292,6 +294,25 @@ def max_independent_set(
                 "(--approx-mis, mis.allow_approximate) to accept a greedy answer"
             )
         return _greedy_set(graph, weights)
+    if k > _MEMO_ARMS:
+        return _exact_set(graph, weights)
+    key = (k, np.packbits(graph.adjacency_matrix()).tobytes(),
+           None if weights is None else np.array(weights).tobytes())
+    found = _memo.pop(key, None) or _exact_set(graph, weights)
+    _memo[key] = found
+    if len(_memo) > _MEMO_SIZE:
+        _memo.popitem(last=False)
+    return found
+
+
+# Recent exact answers, least recently used first; bytes keys pin no matrix.
+_MEMO_SIZE = 128
+_MEMO_ARMS = 256
+_memo: OrderedDict = OrderedDict()
+
+
+def _exact_set(graph: FeedbackGraph, weights) -> IndependentSetResult:
+    k = graph.num_arms
     masks = _neighbor_masks(graph)
     w = [1.0] * k if weights is None else weights
     # Every float is a dyadic rational, so over the largest denominator the
@@ -300,22 +321,22 @@ def max_independent_set(
     scale = max(d for _, d in ratios)
     iw = [n * (scale // d) for n, d in ratios]
     try:
-        target = _best_value(masks, iw, (1 << k) - 1) / scale
+        # the lightest, sparsest vertices seed the first cliques
+        order = sorted(range(k), key=lambda v: (iw[v], masks[v].bit_count(), v))
+        target = _best_value(
+            _neighbor_masks(graph, order), [iw[v] for v in order], (1 << k) - 1
+        ) / scale
         # sets within 1e-9 of the optimum (relative, absolute below 1) tie it
         n, d = (target - 1e-9 * max(1.0, target)).as_integer_ratio()
         chosen = _lex_smallest_optimal(masks, iw, -(-n * scale // d))
     except OverflowError:
         raise InputError("the maximum independent-set weight overflows") from None
     except RecursionError:
-        # both searches may recurse once per vertex
         raise CapabilityError(
             f"exact independent-set search on {k} vertices is deeper than the "
             "interpreter's recursion limit"
         ) from None
-    if weights is None:
-        value = len(chosen)
-    else:
-        value = math.fsum(w[v] for v in chosen)
+    value = len(chosen) if weights is None else math.fsum(w[v] for v in chosen)
     return IndependentSetResult(frozenset(chosen), value, approximate=False)
 
 
@@ -385,19 +406,13 @@ def erdos_renyi(num_arms: int, p: float, seed: int) -> FeedbackGraph:
     return FeedbackGraph._from_matrix(adj)
 
 
-# Side of the square blocks ``_symmetrise`` pairs. The rows of a block lie a
-# whole matrix row apart, so at a power-of-two K larger blocks contend for
-# the same cache sets: at K = 16384 (2 vCPUs) 128 took 0.44 s, 64 0.61 s and
-# 256 1.4 s.
+# Side of the blocks ``_symmetrise`` pairs: at K = 16384 (2 vCPUs) 128 took
+# 0.44 s, 64 0.61 s and 256 1.4 s.
 _TILE = 128
 
 
 def _symmetrise(adj):
-    """``adj |= adj.T`` in place, one block and its mirror block at a time.
-
-    The whole-matrix form reads the transpose a column at a time across the
-    full matrix; a block pair is read and written in cache-sized pieces.
-    """
+    """``adj |= adj.T`` in place, one cache-sized block pair at a time."""
     k = adj.shape[0]
     for i in range(0, k, _TILE):
         rows = slice(i, i + _TILE)
@@ -409,9 +424,7 @@ def _symmetrise(adj):
 
 
 def _read_edge_list(path: str) -> FeedbackGraph:
-    declared = 0
-    edges = []
-    max_seen = -1
+    declared, edges = 0, []
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -419,32 +432,26 @@ def _read_edge_list(path: str) -> FeedbackGraph:
     with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "-" in line:
-                left, _, right = line.partition("-")
-                try:
-                    a, b = int(left), int(right)
-                except ValueError:
-                    raise InputError(
-                        f"{path}:{lineno}: expected an 'a-b' edge, got {line!r}"
-                    ) from None
-                if a < 0 or b < 0:
-                    raise InputError(f"{path}:{lineno}: negative vertex id")
-                edges.append((a, b))
-                max_seen = max(max_seen, a, b)
-            else:
-                try:
+            left, dash, right = line.partition("-")
+            try:
+                if dash:
+                    edges.append((int(left), int(right)))
+                elif line:
                     declared = max(declared, int(line))
-                except ValueError:
-                    raise InputError(
-                        f"{path}:{lineno}: expected an 'a-b' edge or an arm "
-                        f"count, got {line!r}"
-                    ) from None
-    num_arms = max(declared, max_seen + 1)
+            except ValueError:
+                want = "an 'a-b' edge" + ("" if dash else " or an arm count")
+                raise InputError(
+                    f"{path}:{lineno}: expected {want}, got {line!r}"
+                ) from None
+            if dash and min(edges[-1]) < 0:
+                raise InputError(f"{path}:{lineno}: negative vertex id")
+    num_arms = max([declared, *(max(e) + 1 for e in edges)])
     if num_arms < 1:
         raise InputError(f"{path}: no arms declared and no edges found")
     return FeedbackGraph(num_arms, edges)
+
+
+_SIZED = {"complete": complete, "edgeless": edgeless, "cycle": cycle, "star": star}
 
 
 def parse_graph_spec(spec: str) -> FeedbackGraph:
@@ -461,14 +468,8 @@ def parse_graph_spec(spec: str) -> FeedbackGraph:
     if not sep:
         raise InputError(f"graph spec {spec!r} is missing a ':' separator")
     try:
-        if name == "complete":
-            return complete(int(rest))
-        if name == "edgeless":
-            return edgeless(int(rest))
-        if name == "cycle":
-            return cycle(int(rest))
-        if name == "star":
-            return star(int(rest))
+        if name in _SIZED:
+            return _SIZED[name](int(rest))
         if name == "cliques":
             return disjoint_cliques(int(s) for s in rest.split(","))
         if name == "er":

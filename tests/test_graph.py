@@ -21,6 +21,7 @@ from graphbandits import (
 from graphbandits.config import experiment_config_from_dict
 from graphbandits import graph as graph_module
 from graphbandits.graph import (
+    _best_value,
     _clique_cover_bound,
     _greedy_set,
     _neighbor_masks,
@@ -327,6 +328,127 @@ class TestCliqueCoverBound:
         assert _clique_cover_bound(0, masks, [1] * 5) == 0
 
 
+_PALETTES = {
+    "unit": st.just(1.0),
+    "dyadic": st.integers(0, 8).map(lambda n: n / 4),
+    "near-tie": st.sampled_from([1.0, 1.0 + 1e-7, 2.0, 2.0 - 1e-7]),
+    "inverse-gap": st.floats(0.01, 0.9).map(lambda gap: 1 / gap),
+}
+
+
+@st.composite
+def _weighted_graph_and_relabelling(draw):
+    k = draw(st.integers(1, 12))
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    # one bit per pair, so dense graphs come up as often as sparse ones
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    edges = [pair for i, pair in enumerate(pairs) if bits >> i & 1]
+    palette = _PALETTES[draw(st.sampled_from(sorted(_PALETTES)))]
+    weights = draw(st.lists(palette, min_size=k, max_size=k))
+    return k, edges, weights, draw(st.permutations(range(k)))
+
+
+class TestBestValue:
+    @given(_weighted_graph_and_relabelling())
+    def test_optimum_matches_enumeration_under_any_labelling(self, case):
+        k, edges, weights, perm = case
+        ratios = [x.as_integer_ratio() for x in weights]
+        scale = max(d for _, d in ratios)
+        iw = [n * (scale // d) for n, d in ratios]
+        got = _best_value(_neighbor_masks(FeedbackGraph(k, edges)), iw, (1 << k) - 1)
+        want, _ = brute_force_mis(k, edges, weights)
+        assert got / scale == pytest.approx(want, rel=1e-12)
+        # vertex perm[i] becomes vertex i
+        new = {v: i for i, v in enumerate(perm)}
+        relabelled = FeedbackGraph(k, [(new[a], new[b]) for a, b in edges])
+        masks = _neighbor_masks(relabelled)
+        assert _best_value(masks, [iw[v] for v in perm], (1 << k) - 1) == got
+
+
+@pytest.fixture
+def search_spy(monkeypatch):
+    """Counts optimum searches; the memo starts and ends empty."""
+    calls = []
+    real = graph_module._best_value
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graph_module, "_best_value", spy)
+    graph_module._memo.clear()
+    yield calls
+    graph_module._memo.clear()
+
+
+class TestMemo:
+    def test_repeat_call_does_not_search_again(self, search_spy):
+        g = parse_graph_spec("er:20,0.3,4")
+        first = max_independent_set(g, weights=[1.5] * 20)
+        again = max_independent_set(parse_graph_spec("er:20,0.3,4"), [1.5] * 20)
+        assert again == first
+        assert len(search_spy) == 1
+        assert max_independent_set(g) == max_independent_set(g)
+        assert len(search_spy) == 2
+
+    def test_weights_and_graphs_get_their_own_entries(self, search_spy):
+        g, h = cycle(7), erdos_renyi(7, 0.5, 1)
+        answers = [
+            max_independent_set(g),
+            max_independent_set(g, weights=[1.0] * 7),
+            max_independent_set(g, weights=[5.0] + [1.0] * 6),
+            max_independent_set(h),
+        ]
+        assert len(search_spy) == 4
+        # the unweighted value is an int, the weighted one a float
+        assert [type(a.value) for a in answers[:2]] == [int, float]
+        assert answers[2].vertices == {0, 2, 4}
+        graph_module._memo.clear()
+        assert answers == [
+            max_independent_set(g),
+            max_independent_set(g, weights=[1.0] * 7),
+            max_independent_set(g, weights=[5.0] + [1.0] * 6),
+            max_independent_set(h),
+        ]
+
+    def test_greedy_answers_and_refusals_are_not_kept(self, search_spy, monkeypatch):
+        g = cycle(9)
+        assert max_independent_set(g, exact_limit=5, allow_approximate=True).approximate
+        with pytest.raises(CapabilityError):
+            max_independent_set(g, exact_limit=5)
+        assert not graph_module._memo
+        real = graph_module._lex_smallest_optimal
+
+        def too_deep(*args):
+            raise RecursionError
+
+        monkeypatch.setattr(graph_module, "_lex_smallest_optimal", too_deep)
+        with pytest.raises(CapabilityError, match="recursion limit"):
+            max_independent_set(g)
+        assert not graph_module._memo
+        monkeypatch.setattr(graph_module, "_lex_smallest_optimal", real)
+        assert max_independent_set(g).vertices == {0, 2, 4, 6}
+        assert len(search_spy) == 2
+
+    def test_least_recently_used_goes_first(self, search_spy):
+        size = graph_module._MEMO_SIZE
+
+        def solve(n):
+            return max_independent_set(edgeless(3), weights=[float(n), 1.0, 1.0])
+
+        for n in range(size):
+            solve(n)
+        solve(0)  # a hit, and now the most recently used
+        for n in range(size, size + 5):
+            solve(n)
+        assert len(graph_module._memo) == size
+        assert len(search_spy) == size + 5
+        solve(0)
+        assert len(search_spy) == size + 5
+        solve(1)
+        assert len(search_spy) == size + 6
+
+
 class TestPinnedAnswers:
     def test_er_60(self):
         got = max_independent_set(parse_graph_spec("er:60,0.1,1"), exact_limit=60)
@@ -459,6 +581,23 @@ class TestParseGraphSpec:
         g = parse_graph_spec(f"file:{path}")
         assert g.num_arms == 5
         assert g.edges() == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0-1\nx-2\n", ":2: expected an 'a-b' edge, got 'x-2'"),
+            ("3\nabc\n", ":2: expected an 'a-b' edge or an arm count, got 'abc'"),
+            ("0-1-2\n", ":1: expected an 'a-b' edge, got '0-1-2'"),
+            ("0-1\n3--1\n", ":2: negative vertex id"),
+            ("# nothing\n0\n", ": no arms declared and no edges found"),
+        ],
+    )
+    def test_file_form_errors_name_the_line(self, tmp_path, text, message):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(InputError) as info:
+            parse_graph_spec(f"file:{path}")
+        assert str(info.value) == f"{path}{message}"
 
     def test_file_form_infers_arm_count(self, tmp_path):
         path = tmp_path / "g.txt"
