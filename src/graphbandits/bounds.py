@@ -35,6 +35,18 @@ def alpha_log_factor(alpha: int) -> float:
     return math.log2(at_least("alpha", alpha)) + 3.0
 
 
+def default_delta(horizon: int, delta: float | None = None) -> float:
+    """``delta``, or 1 / horizon when it is None (and the horizon exceeds 1)."""
+    if delta is not None:
+        return float(delta)
+    if at_least("horizon", horizon) == 1:
+        raise InputError(
+            "run.horizon must be at least 2 when no delta is given: the "
+            "default delta 1/horizon would be 1.0, outside (0, 1)"
+        )
+    return 1.0 / horizon
+
+
 def confidence_scale(horizon: int, num_arms: int, delta: float) -> float:
     """The sample-threshold scale 8 * ln(2 * horizon * num_arms / delta)."""
     horizon = at_least("horizon", horizon)
@@ -42,7 +54,13 @@ def confidence_scale(horizon: int, num_arms: int, delta: float) -> float:
     delta = float(delta)
     if not 0.0 < delta < 1.0:
         raise InputError(f"delta must lie in the open interval (0, 1), got {delta}")
-    return 8.0 * math.log(2.0 * horizon * num_arms / delta)
+    ratio = 2.0 * horizon * num_arms / delta
+    if math.isinf(ratio):
+        raise InputError(
+            f"delta {delta:.3g} is too small, 2 * horizon * num_arms / delta "
+            "overflows"
+        )
+    return 8.0 * math.log(ratio)
 
 
 def hardness(
@@ -150,8 +168,7 @@ def bound_report(
     bound is stated.
     """
     horizon = at_least("horizon", horizon)
-    if delta is None:
-        delta = 1.0 / horizon
+    delta = default_delta(horizon, delta)
     alpha = independence_number(
         instance.graph, exact_limit=exact_limit, allow_approximate=allow_approximate
     )
@@ -162,7 +179,7 @@ def bound_report(
     return BoundReport(
         horizon=horizon,
         num_arms=instance.num_arms,
-        delta=float(delta),
+        delta=delta,
         alpha=alpha,
         hardness=h,
         scale=scale,

@@ -312,7 +312,7 @@ def run_episode_batch(
     means = np.ascontiguousarray(means, dtype=np.float64)
     adj = np.ascontiguousarray(adj, dtype=np.bool_)
     horizon = at_least("horizon", horizon)
-    check_policy(policy)
+    policy = check_policy(policy)
     marks = [int(m) for m in marks]
     if marks != sorted(set(marks)) or not all(0 <= m < horizon for m in marks):
         raise InputError(

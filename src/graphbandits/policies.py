@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import confidence_scale
+from .bounds import confidence_scale, default_delta
 from .errors import InputError, at_least
 
 __all__ = [
@@ -30,9 +30,7 @@ def exploration_bonus(num_arms: int, horizon: int, delta: float | None = None) -
     ``delta`` defaults to 1 / horizon. This is a quarter of
     ``bounds.confidence_scale``, exactly, as the factor is a power of two.
     """
-    if delta is None:
-        delta = 1.0 / at_least("horizon", horizon)
-    return confidence_scale(horizon, num_arms, delta) / 4
+    return confidence_scale(horizon, num_arms, default_delta(horizon, delta)) / 4
 
 
 def _check_observations(observations, num_arms: int):
@@ -63,8 +61,8 @@ class UcbNPolicy:
     def __init__(self, num_arms: int, horizon: int, delta: float | None = None):
         self.num_arms = at_least("num_arms", num_arms)
         self.horizon = at_least("horizon", horizon)
-        self.delta = 1.0 / self.horizon if delta is None else float(delta)
-        self.bonus = exploration_bonus(self.num_arms, self.horizon, delta)
+        self.delta = default_delta(self.horizon, delta)
+        self.bonus = exploration_bonus(self.num_arms, self.horizon, self.delta)
         self.counts = np.zeros(self.num_arms, dtype=np.float64)
         self.sums = np.zeros(self.num_arms, dtype=np.float64)
 
@@ -137,14 +135,16 @@ POLICY_NAMES = ("ucb-n", "ucb1", "ts-n")
 
 
 def check_policy(name: str, delta: float | None = None) -> str:
-    """``name`` when it is a known policy that accepts ``delta``."""
-    if name not in POLICY_NAMES:
+    """The canonical (stripped, lower-case) form of ``name``, a known policy
+    that accepts ``delta``."""
+    key = str(name).strip().lower()
+    if key not in POLICY_NAMES:
         raise InputError(
             f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}"
         )
-    if name == "ts-n" and delta is not None:
+    if key == "ts-n" and delta is not None:
         raise InputError("ts-n does not take a delta parameter")
-    return name
+    return key
 
 
 def episode_bonus(
@@ -159,7 +159,7 @@ def episode_bonus(
 
 def make_policy(name: str, num_arms: int, horizon: int, delta: float | None = None):
     """Instantiate a policy by its command-line name."""
-    key = check_policy(str(name).strip().lower(), delta)
+    key = check_policy(name, delta)
     if key == "ts-n":
         return TsNPolicy(num_arms)
     cls = UcbNPolicy if key == "ucb-n" else Ucb1Policy

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .bounds import BoundReport, bound_report, format_value, report_pairs
+from .bounds import BoundReport, bound_report, default_delta, format_value, report_pairs
 from .env import BanditInstance, gaps
 from .errors import InputError, at_least
 from .graph import DEFAULT_EXACT_LIMIT, FeedbackGraph
@@ -80,13 +80,9 @@ class ExperimentConfig:
     allow_approximate_mis: bool = False
 
     def __post_init__(self):
-        check_policy(self.policy, self.delta)
+        policy = check_policy(self.policy, self.delta)
         horizon = at_least("horizon", self.horizon)
-        if horizon == 1 and self.delta is None:
-            raise InputError(
-                "run.horizon must be at least 2 when no delta is given: the "
-                "default delta 1/horizon would be 1.0, outside (0, 1)"
-            )
+        default_delta(horizon, self.delta)  # refuses horizon 1 without a delta
         num_runs = at_least("num_runs", self.num_runs)
         base_seed = int(self.base_seed)
         if base_seed < 0:
@@ -103,6 +99,7 @@ class ExperimentConfig:
                 raise InputError(
                     f"checkpoints must lie in [1, {horizon}], got {checkpoints}"
                 )
+        object.__setattr__(self, "policy", policy)
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "num_runs", num_runs)
         object.__setattr__(self, "base_seed", base_seed)

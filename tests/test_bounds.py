@@ -55,6 +55,13 @@ class TestConfidenceScale:
         with pytest.raises(InputError):
             confidence_scale(100, 5, delta)
 
+    def test_delta_whose_ratio_overflows(self):
+        # 2 * T * K / delta is inf below about 1e-305 here; a tiny delta
+        # whose ratio is still finite keeps its finite scale
+        with pytest.raises(InputError, match="delta 1e-320 is too small"):
+            confidence_scale(100, 5, 1e-320)
+        assert math.isfinite(confidence_scale(100, 5, 1e-300))
+
     def test_other_domains(self):
         with pytest.raises(InputError):
             confidence_scale(0, 5, 0.1)

@@ -240,6 +240,22 @@ class TestSimulateCommand:
         assert "run.horizon" in proc.stderr
         assert "1/horizon" in proc.stderr
 
+    @pytest.mark.parametrize("name", ["UCB-N", " Ucb-N "])
+    def test_policy_name_is_canonical(self, tmp_path, name):
+        # any case and surrounding space name the same policy, byte for byte
+        out = {}
+        for label, policy in (("given", name), ("lower", "ucb-n")):
+            data = config_dict()
+            data["policy"]["name"] = policy
+            path = _write(tmp_path / f"{label}.yaml", data)
+            proc = run_cli("simulate", "--config", path, "--out", str(tmp_path / label))
+            assert proc.returncode == 0, proc.stderr
+            out[label] = [
+                (tmp_path / label / f).read_bytes() for f in ("regret.csv", "bounds.txt")
+            ]
+        assert out["given"] == out["lower"]
+        assert b"policy=ucb-n\n" in out["given"][1]
+
     def test_unreadable_config_exits_two(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 2
 
@@ -641,6 +657,26 @@ _BAD_INPUTS = [
         2, "edge probability",
         lambda t: (["mis", "--graph", "er:10,2,1"], {}),
         id="mis-edge-probability-two",
+    ),
+    pytest.param(
+        2, "delta 1e-320 is too small",
+        lambda t: (["bounds", "--config", _config(t), "--delta", "1e-320"], {}),
+        id="bounds-delta-overflows",
+    ),
+    pytest.param(
+        2, "delta 1e-320 is too small",
+        lambda t: (_simulate(t, "policy", delta=1e-320), {}),
+        id="config-delta-overflows",
+    ),
+    pytest.param(
+        2, "at least 2 when no delta is given",
+        lambda t: (["bounds", "--config", _config(t), "--horizon", "1"], {}),
+        id="bounds-horizon-one",
+    ),
+    pytest.param(
+        2, "at least 2 when no delta is given",
+        lambda t: (["bounds", "--config", _config(t), "--horizon", "1", "--csv"], {}),
+        id="bounds-csv-horizon-one",
     ),
 ]
 

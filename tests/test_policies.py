@@ -15,10 +15,23 @@ from graphbandits import (
     make_policy,
 )
 
+from graphbandits.policies import check_policy
+
 from oracles import episode_by_hand
 
 
 class TestExplorationBonus:
+    def test_horizon_one_needs_a_delta(self):
+        # the default 1/horizon would be 1.0; every caller says so the same way
+        for build in (
+            lambda: exploration_bonus(num_arms=3, horizon=1),
+            lambda: UcbNPolicy(3, 1),
+            lambda: make_policy("ucb1", 3, 1),
+        ):
+            with pytest.raises(InputError, match="at least 2 when no delta is given"):
+                build()
+        assert UcbNPolicy(3, 1, delta=0.5).delta == 0.5
+
     def test_default_delta_is_one_over_horizon(self):
         got = exploration_bonus(num_arms=10, horizon=1000)
         assert got == pytest.approx(2.0 * math.log(2.0 * 1000 * 10 * 1000))
@@ -183,6 +196,7 @@ class TestMakePolicy:
 
     def test_case_and_whitespace(self):
         assert isinstance(make_policy(" UCB-N ", 3, 10), UcbNPolicy)
+        assert check_policy(" TS-N ") == "ts-n"
 
     def test_unknown_name(self):
         with pytest.raises(InputError):
