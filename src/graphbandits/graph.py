@@ -126,8 +126,8 @@ class IndependentSetResult:
 
 
 def _neighbor_masks(graph: FeedbackGraph, order=None) -> list[int]:
-    # bit b of masks[a] is set when b is a neighbour of a other than a itself,
-    # vertex i standing for order[i] when an order is given
+    # bit b of masks[a] is set when b is a neighbour of a other than a itself
+    # (XOR clears the diagonal bit), vertex i standing for order[i] if given
     adj = graph.adjacency_matrix()
     if order is not None:
         adj = adj.take(order, 0).take(order, 1)
