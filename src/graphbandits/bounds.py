@@ -44,7 +44,16 @@ def default_delta(horizon: int, delta: float | None = None) -> float:
             "run.horizon must be at least 2 when no delta is given: the "
             "default delta 1/horizon would be 1.0, outside (0, 1)"
         )
-    return 1.0 / horizon
+    return 1.0 / _real_horizon(horizon)
+
+
+def _real_horizon(horizon: int) -> float:
+    """The horizon as a float, refused beyond the float range."""
+    try:
+        return float(horizon)
+    except OverflowError:
+        digits = len(str(horizon))
+        raise InputError(f"horizon of {digits} digits is beyond float range") from None
 
 
 def confidence_scale(horizon: int, num_arms: int, delta: float) -> float:
@@ -54,12 +63,14 @@ def confidence_scale(horizon: int, num_arms: int, delta: float) -> float:
     delta = float(delta)
     if not 0.0 < delta < 1.0:
         raise InputError(f"delta must lie in the open interval (0, 1), got {delta}")
-    ratio = 2.0 * horizon * num_arms / delta
+    ratio = 2.0 * _real_horizon(horizon) * num_arms / delta
     if math.isinf(ratio):
-        raise InputError(
-            f"delta {delta:.3g} is too small, 2 * horizon * num_arms / delta "
-            "overflows"
+        # below the default 1/horizon the delta is to blame, else the horizon
+        culprit = (
+            f"delta {delta:.3g} is too small" if delta < 1.0 / horizon
+            else f"horizon {horizon:.3g} is too large"
         )
+        raise InputError(f"{culprit}, 2 * horizon * num_arms / delta overflows")
     return 8.0 * math.log(ratio)
 
 

@@ -326,8 +326,8 @@ def _exact_set(graph: FeedbackGraph, weights) -> IndependentSetResult:
         target = _best_value(
             _neighbor_masks(graph, order), [iw[v] for v in order], (1 << k) - 1
         ) / scale
-        # sets within 1e-9 of the optimum (relative, absolute below 1) tie it
-        n, d = (target - 1e-9 * max(1.0, target)).as_integer_ratio()
+        # sets within a relative 1e-9 of the optimum tie it
+        n, d = (target - 1e-9 * target).as_integer_ratio()
         chosen = _lex_smallest_optimal(masks, iw, -(-n * scale // d))
     except OverflowError:
         raise InputError("the maximum independent-set weight overflows") from None

@@ -14,7 +14,7 @@ from .bounds import alpha_log_factor, hardness
 from .env import BanditInstance
 from .errors import CapabilityError, InputError, at_least
 from .graph import DEFAULT_EXACT_LIMIT
-from .phases import PhaseDecomposition, decompose
+from .phases import PhaseDecomposition, decompose, log2_alpha_ratio
 
 # absolute slack absorbing the floating-point log2 on the integer side
 RATIO_SLACK = 1e-9
@@ -103,10 +103,10 @@ def all_max_sequence(
 ) -> SequenceInstance:
     """The extremal sequence pinned at (peak_phase, peak_count).
 
-    Every other band takes the largest count that respects both the alpha
-    cap and the peak term: K_p = min(alpha, peak_count * 2^(m-p)), with the
-    ratio floored for bands above the peak. These are the worst cases of
-    the budget argument.
+    Every band takes the largest count that respects both the alpha cap
+    and the peak term T = peak_count * 2^peak_phase:
+    K_p = min(alpha, floor(T / 2^p)). The sequence depends on T alone.
+    These are the worst cases of the budget argument.
     """
     alpha = int(alpha)
     num_phases = int(num_phases)
@@ -117,16 +117,13 @@ def all_max_sequence(
     if not 1 <= peak_count <= alpha:
         raise InputError(f"peak_count {peak_count} outside 1..alpha={alpha}")
     return SequenceInstance(
-        alpha, _extremal_counts(alpha, num_phases, peak_phase, peak_count)
+        alpha, _extremal_counts(alpha, num_phases, peak_count << peak_phase)
     )
 
 
-def _extremal_counts(alpha, num_phases, m, c):
-    """Counts of ``all_max_sequence(alpha, num_phases, m, c)``, unchecked."""
-    return tuple(
-        min(alpha, c << (m - p)) if p <= m else c >> (p - m)
-        for p in range(1, num_phases + 1)
-    )
+def _extremal_counts(alpha, num_phases, peak):
+    """Counts min(alpha, peak >> p) of the peak term's extremal sequence."""
+    return tuple(min(alpha, peak >> p) for p in range(1, num_phases + 1))
 
 
 @dataclass(frozen=True)
@@ -151,18 +148,19 @@ class VerificationReport:
 def exhaustive_verify(alpha: int, num_phases: int) -> VerificationReport:
     """Certify the whole box {0..alpha}^num_phases from its extremal sequences.
 
-    A nonzero sequence whose peak term sits at phase m with count c has
-    every count at most that of ``all_max_sequence(alpha, num_phases, m, c)``
-    and the same peak term, so its ratio total / peak is at most that
-    sequence's, with equality only for the sequence itself. Checking the
-    alpha * num_phases extremal sequences with exact integers therefore
-    certifies every sequence of the box.
+    A nonzero sequence of peak term T has K_p <= alpha and K_p * 2^p <= T,
+    so K_p <= min(alpha, floor(T / 2^p)): the counts of the extremal
+    sequence of T, whose peak term is T too. Its ratio total / T is thus at
+    most that sequence's, with equality only for the sequence itself, and
+    checking the alpha * num_phases extremal sequences, T = c * 2^m, with
+    exact integers certifies every sequence of the box.
 
     ``instances_checked`` and ``nonzero_checked`` count the box, in closed
     form. ``tightest_ratio`` is the float total / peak of the sequence of
     largest exact ratio, and ``tight_witness`` that sequence; of equal
     ratios the one of lowest mixed-radix index wins (the count of phase 1
-    is the least significant digit), as in an in-order scan of the box.
+    is the least significant digit), as in an in-order scan of the box;
+    each extremal count is nondecreasing in T, so that is the smallest T.
     An extremal sequence that breaks the inequality disproves it, so
     ``violation_count`` and ``violations`` count and list the distinct
     failing extremal sequences, in index order, not every failing sequence
@@ -178,13 +176,13 @@ def exhaustive_verify(alpha: int, num_phases: int) -> VerificationReport:
             f"steps, above the limit of {MAX_CERTIFICATE_WORK}"
         )
     scale, lean, slack = _factor_test(alpha)
-    best_total, best_peak, best = 0, 1, None
+    best_total, best_peak = 0, 1
     failing = set()
     for c in range(1, alpha + 1):
         # band p = m - j at or below the peak takes count c * 2^j, a term
         # equal to the peak's, while that is below alpha, i.e. for j < lift,
         # and count alpha, a term alpha * 2^p, from there down
-        lift = ((alpha + c - 1) // c - 1).bit_length()
+        lift = log2_alpha_ratio(alpha, c)
         # above[i]: sum of (c >> j) << j for j = 1..i, the terms of the i
         # bands above the peak divided by 2^m; all but the first
         # bit_length(c) - 1 of them are 0
@@ -199,18 +197,10 @@ def exhaustive_verify(alpha: int, num_phases: int) -> VerificationReport:
                 total = m * peak
             total += above[min(num_phases - m, len(above) - 1)] << m
             if total * scale > lean * peak + slack:
-                failing.add(_extremal_counts(alpha, num_phases, m, c))
+                failing.add(peak)
             gain = total * best_peak - best_total * peak
-            if gain == 0:
-                # the lower key wins; keys are read from the last phase down
-                key = c >> (num_phases - m)
-                best_key = best[1] >> (num_phases - best[0])
-                if key == best_key:
-                    key = _extremal_counts(alpha, num_phases, m, c)[::-1]
-                    best_key = _extremal_counts(alpha, num_phases, *best)[::-1]
-                gain = key < best_key
-            if gain > 0:
-                best_total, best_peak, best = total, peak, (m, c)
+            if gain > 0 or gain == 0 and peak < best_peak:
+                best_total, best_peak = total, peak
     size = (alpha + 1) ** num_phases
     return VerificationReport(
         alpha=alpha,
@@ -218,9 +208,11 @@ def exhaustive_verify(alpha: int, num_phases: int) -> VerificationReport:
         instances_checked=size,
         nonzero_checked=size - 1,
         violation_count=len(failing),
-        violations=tuple(sorted(failing, key=lambda s: s[::-1])),
+        violations=tuple(
+            _extremal_counts(alpha, num_phases, peak) for peak in sorted(failing)
+        ),
         tightest_ratio=best_total / best_peak,
-        tight_witness=_extremal_counts(alpha, num_phases, *best),
+        tight_witness=_extremal_counts(alpha, num_phases, best_peak),
         exhaustive=True,
     )
 

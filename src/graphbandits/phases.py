@@ -19,6 +19,7 @@ __all__ = [
     "PhaseDecomposition",
     "RegretMass",
     "decompose",
+    "log2_alpha_ratio",
     "max_phase_index",
     "phase_of",
     "regret_mass",
@@ -54,6 +55,12 @@ def max_phase_index(horizon: int, delta_min: float | None) -> int:
     return min(int(math.log(horizon)), phase_of(delta_min))
 
 
+def log2_alpha_ratio(alpha: int, count: int) -> int:
+    """The smallest j >= 0 with count * 2^j >= alpha, i.e.
+    ceil(log2(alpha / count)), in exact integers; ``count`` is positive."""
+    return ((alpha + count - 1) // count - 1).bit_length()
+
+
 @dataclass(frozen=True)
 class PhaseBand:
     """One dyadic gap band and its independence measurement."""
@@ -74,9 +81,8 @@ class PhaseDecomposition:
     """All bands of an instance plus the peak-band arithmetic.
 
     ``log2_peak_size`` is floor(log2) of the peak band's independent size;
-    ``log2_alpha_ratio`` is the smallest j with peak size * 2^j >= alpha,
-    i.e. ceil(log2(alpha / peak size)). Both are None for an empty
-    decomposition (no band has any arms).
+    ``log2_alpha_ratio`` is ``log2_alpha_ratio(alpha, peak size)``. Both
+    are None for an empty decomposition (no band has any arms).
     """
 
     alpha: int
@@ -146,23 +152,16 @@ def decompose(
             size = 0
             witness = frozenset()
         bands.append(PhaseBand(phase=p, arms=arms, independent_size=size, witness=witness))
-    peak = None
-    for band in bands:
-        if band.independent_size > 0 and (peak is None or band.term > peak.term):
-            peak = band
-    if peak is None:
+    peak = max(bands, key=lambda band: band.term, default=None)
+    if peak is None or peak.term == 0:
         return PhaseDecomposition(alpha, top, tuple(bands), None, None, None)
-    log2_peak_size = peak.independent_size.bit_length() - 1
-    log2_alpha_ratio = 0
-    while (peak.independent_size << log2_alpha_ratio) < alpha:
-        log2_alpha_ratio += 1
     return PhaseDecomposition(
         alpha=alpha,
         max_phase=top,
         bands=tuple(bands),
         peak_phase=peak.phase,
-        log2_peak_size=log2_peak_size,
-        log2_alpha_ratio=log2_alpha_ratio,
+        log2_peak_size=peak.independent_size.bit_length() - 1,
+        log2_alpha_ratio=log2_alpha_ratio(alpha, peak.independent_size),
     )
 
 

@@ -32,7 +32,7 @@ from . import kernels
 from .bounds import BoundReport, bound_report, default_delta, format_value, report_pairs
 from .env import BanditInstance, gaps
 from .errors import InputError, at_least
-from .graph import DEFAULT_EXACT_LIMIT, FeedbackGraph
+from .graph import DEFAULT_EXACT_LIMIT
 from .policies import check_policy, episode_bonus
 
 __all__ = [
@@ -299,16 +299,12 @@ def sweep_alpha(config: ExperimentConfig, labeled_graphs) -> list[SweepRow]:
     labeled = list(labeled_graphs)
     instances = []
     for label, graph in labeled:
-        if not isinstance(graph, FeedbackGraph):
-            raise InputError(f"{label!r}: expected a FeedbackGraph")
-        if graph.num_arms != config.instance.num_arms:
-            raise InputError(
-                f"{label!r}: graph has {graph.num_arms} arms but the instance "
-                f"has {config.instance.num_arms}"
+        try:
+            instances.append(
+                BanditInstance(config.instance.means, graph, config.instance.family)
             )
-        instances.append(
-            BanditInstance(config.instance.means, graph, config.instance.family)
-        )
+        except InputError as exc:
+            raise InputError(f"{label!r}: {exc}") from None
     if not labeled:
         return []
     overlays = [_bounds(config, instance) for instance in instances]

@@ -48,7 +48,7 @@ def brute_force_mis(num_arms, edges, weights=None):
         values += ((masks >> v) & 1) * w[v]
     values[~independent] = -1.0
     best = float(values.max())
-    eps = 1e-9 * max(1.0, abs(best))
+    eps = 1e-9 * abs(best)
     candidates = np.flatnonzero(values >= best - eps)
     sets = sorted(
         tuple(v for v in range(num_arms) if (int(m) >> v) & 1) for m in candidates

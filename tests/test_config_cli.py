@@ -669,6 +669,31 @@ _BAD_INPUTS = [
         id="config-delta-overflows",
     ),
     pytest.param(
+        2, "horizon of 401 digits is beyond float range",
+        lambda t: (["bounds", "--config", _config(t), "--horizon", str(10**400)], {}),
+        id="bounds-horizon-past-float",
+    ),
+    pytest.param(
+        2, "horizon of 401 digits is beyond float range",
+        lambda t: (
+            ["bounds", "--config", _config(t), "--horizon", str(10**400),
+             "--delta", "0.1"],
+            {},
+        ),
+        id="bounds-delta-horizon-past-float",
+    ),
+    pytest.param(
+        2, "horizon of 401 digits is beyond float range",
+        lambda t: (_simulate(t, "run", horizon=10**400), {}),
+        id="config-horizon-past-float",
+    ),
+    pytest.param(
+        # the default delta 1e-160 is not the user's: the horizon is named
+        2, "horizon 1e+160 is too large",
+        lambda t: (["bounds", "--config", _config(t), "--horizon", str(10**160)], {}),
+        id="bounds-horizon-overflows-default-delta",
+    ),
+    pytest.param(
         2, "at least 2 when no delta is given",
         lambda t: (["bounds", "--config", _config(t), "--horizon", "1"], {}),
         id="bounds-horizon-one",

@@ -1,4 +1,6 @@
 """Graph type, generators, and exact independent-set search."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -143,6 +145,12 @@ class TestMaxIndependentSet:
         result = max_independent_set(edgeless(3), weights=[0.0, 0.0, 0.0])
         assert result.value == 0.0
 
+    def test_tiny_weights_keep_their_optimum(self):
+        # the tie window is relative: below an optimum of 1 it shrinks too
+        result = max_independent_set(cycle(5), weights=[5e-10] * 5)
+        assert result.vertices == {0, 2}
+        assert result.value == 1e-9
+
     def test_weight_validation(self):
         with pytest.raises(InputError):
             max_independent_set(cycle(5), weights=[1, 2, 3])
@@ -235,6 +243,9 @@ class TestAgainstEnumeration:
             # integers over a denominator of about 2^1050
             (1e-300, 1e-5, 1.0, 3.0),
             (0.0,),
+            # optima far below 1, where only a relative window tells sets apart
+            (1e-12, 3e-12, 5e-10),
+            (2.0**-30, 1.5 * 2.0**-31, 6e-10),
         ],
     )
     def test_tie_heavy_weights_match_brute_force(self, palette):
@@ -363,6 +374,17 @@ class TestBestValue:
         relabelled = FeedbackGraph(k, [(new[a], new[b]) for a, b in edges])
         masks = _neighbor_masks(relabelled)
         assert _best_value(masks, [iw[v] for v in perm], (1 << k) - 1) == got
+
+
+class TestScaleInvariance:
+    @given(_weighted_graph_and_relabelling(), st.integers(-80, 80))
+    def test_power_of_two_scaling_keeps_the_set(self, case, shift):
+        k, edges, weights, _ = case
+        graph = FeedbackGraph(k, edges)
+        base = max_independent_set(graph, weights)
+        scaled = max_independent_set(graph, [math.ldexp(w, shift) for w in weights])
+        assert scaled.vertices == base.vertices
+        assert scaled.value == math.ldexp(base.value, shift)
 
 
 @pytest.fixture

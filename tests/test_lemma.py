@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphbandits import (
@@ -170,6 +170,19 @@ class TestAllMaxSequence:
                         assert holds
                         assert ratio <= threshold + 1e-9
 
+    @given(st.integers(1, 40), st.integers(1, 12))
+    def test_counts_are_a_nondecreasing_function_of_the_peak_term(
+        self, alpha, num_phases
+    ):
+        by_peak = {}
+        for m in range(1, num_phases + 1):
+            for c in range(1, alpha + 1):
+                counts = all_max_sequence(alpha, num_phases, m, c).counts
+                assert by_peak.setdefault(c << m, counts) == counts
+        ordered = [by_peak[peak] for peak in sorted(by_peak)]
+        for low, high in zip(ordered, ordered[1:]):
+            assert all(a <= b for a, b in zip(low, high))
+
     def test_validation(self):
         with pytest.raises(InputError):
             all_max_sequence(2, 3, 0, 1)
@@ -222,6 +235,12 @@ class TestExhaustiveVerify:
 
     @given(st.integers(1, 6), st.integers(1, 8))
     @settings(max_examples=40)
+    # several extremal sequences tie at the tightest ratio of these boxes
+    @example(4, 1)
+    @example(12, 2)
+    @example(15, 3)
+    # and the longest box of one count
+    @example(1, 12)
     def test_matches_scan_of_the_whole_box(self, alpha, num_phases):
         assert exhaustive_verify(alpha, num_phases) == _scan_report(alpha, num_phases)
 

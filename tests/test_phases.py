@@ -190,6 +190,12 @@ class TestRegretMass:
         assert mass.value == 64.0
         assert mass.cap == 80.0
 
+    def test_gap_far_below_one(self):
+        # one arm in band 31: its gap is the whole optimum of its band
+        inst = BanditInstance(np.array([0.9, 0.9 - 6e-10]), edgeless(2))
+        mass = regret_mass(inst, 10**14, scale=1.0)
+        assert mass.value == 4.0**31 * (0.9 - (0.9 - 6e-10)) == 2767011840.0
+
     def test_empty_decomposition(self):
         inst = BanditInstance(np.array([0.5, 0.5]), edgeless(2))
         mass = regret_mass(inst, 100, scale=10.0)
