@@ -176,7 +176,7 @@ def bound_report(
     """Evaluate all bounds for ``instance`` at ``horizon``.
 
     ``delta`` defaults to 1/horizon, the setting under which the UCB-N
-    bound is stated.
+    bound is stated. A bound that overflows a float raises InputError.
     """
     horizon = at_least("horizon", horizon)
     delta = default_delta(horizon, delta)
@@ -187,7 +187,7 @@ def bound_report(
         instance, exact_limit=exact_limit, allow_approximate=allow_approximate
     )
     scale = confidence_scale(horizon, instance.num_arms, delta)
-    return BoundReport(
+    report = BoundReport(
         horizon=horizon,
         num_arms=instance.num_arms,
         delta=delta,
@@ -199,6 +199,13 @@ def bound_report(
         ucbn_bound=ucbn_regret_bound(horizon, instance.num_arms, alpha, h),
         gap_free_bound=gap_free_regret_bound(horizon, instance.num_arms, alpha),
     )
+    for key, field in _REPORT_KEYS[-4:]:  # the four bounds
+        if not math.isfinite(getattr(report, field)):
+            raise InputError(
+                f"the {key} bound overflows a float at horizon {horizon:.3g} "
+                f"and H {h:.3g}"
+            )
+    return report
 
 
 # (key, BoundReport field) in the order every report is written

@@ -279,7 +279,7 @@ def verify_decomposition(decomp: PhaseDecomposition) -> BandBudgetReport:
         upper_holds=upper_sum <= upper_budget,
         lower_holds=lower_sum <= lower_budget,
         total_holds=total <= combined_budget,
-        factor_holds=float(combined_budget) <= log_budget + RATIO_SLACK,
+        factor_holds=_within_factor(decomp.alpha, combined_budget, peak_term),
     )
 
 

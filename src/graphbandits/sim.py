@@ -8,12 +8,13 @@ as the pairs of gammas ``Generator.beta`` would draw, in one generator call
 per episode and round, and keeps ``beta`` itself while an episode has an
 arm it has never observed: the same bits either way.
 
-``run_experiment`` advances all its runs together in one batched loop
-(``kernels.run_episode_batch``), and ``sweep_alpha`` advances every
-(graph, run) pair of the sweep in one such loop. Each run keeps its own
-generator: the UCB policies read its uniforms in blocks shared by every
-graph, and Thompson sampling keeps its per-round interleave of uniforms and
-Beta draws, so every run follows the trajectory it has when run alone.
+``run_experiment`` is the one-graph case of ``sweep_alpha``: both build
+their reports on one path, which computes every graph's bounds first and
+then advances every (graph, run) pair in one batched loop
+(``kernels.run_episode_batch``). Each run keeps its own generator: the UCB
+policies read its uniforms in blocks shared by every graph, and Thompson
+sampling keeps its per-round interleave of uniforms and Beta draws, so
+every run follows the trajectory it has when run alone.
 Only the regret at the checkpoints is kept, so memory does not grow with
 horizon x runs; ``run_episode`` alone returns a whole trajectory. A large
 Thompson-sampling batch runs its runs in shares across the usable CPUs, in
@@ -171,54 +172,55 @@ class RegretReport:
         return float(self.final_per_run.std(ddof=1) / math.sqrt(n))
 
 
-def _run_batch(config: ExperimentConfig, graphs) -> kernels.EpisodeBatch:
-    """Run every run of ``config`` on every graph, with matched seeds."""
-    instance = config.instance
-    matrices = [graph.adjacency_matrix() for graph in graphs]
+def _reports(config: ExperimentConfig, instances) -> list[RegretReport]:
+    """One report per instance: ``config`` with the graph swapped, seeds matched.
+
+    Every instance's bounds are computed before any episode runs; then every
+    (graph, run) pair advances in one ``kernels.run_episode_batch``.
+    """
+    overlays = [
+        bound_report(
+            instance,
+            config.horizon,
+            config.delta,
+            exact_limit=config.mis_exact_limit,
+            allow_approximate=config.allow_approximate_mis,
+        )
+        for instance in instances
+    ]
+    matrices = [instance.graph.adjacency_matrix() for instance in instances]
     # a single matrix is viewed, not copied: at the arm limit it is 256 MiB
     adj = matrices[0][None] if len(matrices) == 1 else np.stack(matrices)
-    return kernels.run_episode_batch(
+    means, runs = config.instance.means, config.num_runs
+    batch = kernels.run_episode_batch(
         config.policy,
-        instance.means,
+        means,
         adj,
         config.horizon,
         lambda run: episode_stream(config.base_seed, run),
-        config.num_runs,
-        bonus=episode_bonus(
-            config.policy, instance.num_arms, config.horizon, config.delta
-        ),
-        gaps=gaps(instance).gaps,
+        runs,
+        bonus=episode_bonus(config.policy, means.size, config.horizon, config.delta),
+        gaps=gaps(config.instance).gaps,
         marks=[c - 1 for c in config.checkpoints],
     )
-
-
-def _bounds(config: ExperimentConfig, instance: BanditInstance) -> BoundReport:
-    return bound_report(
-        instance,
-        config.horizon,
-        config.delta,
-        exact_limit=config.mis_exact_limit,
-        allow_approximate=config.allow_approximate_mis,
-    )
-
-
-def _report(config, matrix, finals, overlay) -> RegretReport:
-    """Aggregate per-run checkpoint regret (runs x checkpoints)."""
-    mean = matrix.mean(axis=0)
-    if config.num_runs > 1:
-        stderr = matrix.std(axis=0, ddof=1) / math.sqrt(config.num_runs)
-    else:
-        stderr = np.zeros(matrix.shape[1], dtype=np.float64)
-    return RegretReport(
-        config=config,
-        checkpoints=config.checkpoints,
-        mean=mean,
-        stderr=stderr,
-        low=matrix.min(axis=0),
-        high=matrix.max(axis=0),
-        final_per_run=finals,
-        bounds=overlay,
-    )
+    reports = []
+    for g, instance in enumerate(instances):
+        matrix = batch.marked[g]  # runs x checkpoints
+        reports.append(
+            RegretReport(
+                config=config if instance is config.instance
+                else dataclasses.replace(config, instance=instance),
+                checkpoints=config.checkpoints,
+                mean=matrix.mean(axis=0),
+                stderr=matrix.std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1
+                else np.zeros(matrix.shape[1], dtype=np.float64),
+                low=matrix.min(axis=0),
+                high=matrix.max(axis=0),
+                final_per_run=batch.final[g],
+                bounds=overlays[g],
+            )
+        )
+    return reports
 
 
 def run_experiment(config: ExperimentConfig) -> RegretReport:
@@ -227,9 +229,7 @@ def run_experiment(config: ExperimentConfig) -> RegretReport:
     Any failing run aborts the whole experiment; identical configs produce
     identical reports.
     """
-    overlay = _bounds(config, config.instance)
-    batch = _run_batch(config, [config.instance.graph])
-    return _report(config, batch.marked[0], batch.final[0], overlay)
+    return _reports(config, [config.instance])[0]
 
 
 def regret_csv_lines(report: RegretReport) -> list[str]:
@@ -292,9 +292,9 @@ class SweepRow:
 def sweep_alpha(config: ExperimentConfig, labeled_graphs) -> list[SweepRow]:
     """Rerun the experiment with the graph swapped, means and seeds fixed.
 
-    Matched seeds mean matched reward draws, so differences across rows
-    isolate the information structure. Every graph is checked, and its
-    bounds computed, before any episode runs.
+    Each row is ``run_experiment`` on that graph, with the same reward
+    draws, so differences across rows isolate the information structure.
+    Every graph is checked, and its bounds computed, before any episode runs.
     """
     labeled = list(labeled_graphs)
     instances = []
@@ -307,27 +307,17 @@ def sweep_alpha(config: ExperimentConfig, labeled_graphs) -> list[SweepRow]:
             raise InputError(f"{label!r}: {exc}") from None
     if not labeled:
         return []
-    overlays = [_bounds(config, instance) for instance in instances]
-    batch = _run_batch(config, [graph for _, graph in labeled])
-    rows = []
-    for g, (label, _) in enumerate(labeled):
-        report = _report(
-            dataclasses.replace(config, instance=instances[g]),
-            batch.marked[g],
-            batch.final[g],
-            overlays[g],
+    return [
+        SweepRow(
+            label=str(label),
+            alpha=report.bounds.alpha,
+            mean_final_regret=report.mean_final_regret,
+            stderr_final_regret=report.stderr_final_regret,
+            ucbn_bound=report.bounds.ucbn_bound,
+            gap_free_bound=report.bounds.gap_free_bound,
         )
-        rows.append(
-            SweepRow(
-                label=str(label),
-                alpha=report.bounds.alpha,
-                mean_final_regret=report.mean_final_regret,
-                stderr_final_regret=report.stderr_final_regret,
-                ucbn_bound=report.bounds.ucbn_bound,
-                gap_free_bound=report.bounds.gap_free_bound,
-            )
-        )
-    return rows
+        for (label, _), report in zip(labeled, _reports(config, instances))
+    ]
 
 
 def sweep_csv_lines(rows) -> list[str]:

@@ -579,6 +579,11 @@ def _config(t):
     return _write(t / "c.yaml", config_dict())
 
 
+# a gap of 1e-306 gives H = 1e306, which finite bounds cannot carry
+_TINY_GAP = config_dict(
+    instance={"means": [1.0e-306, 0.0], "graph": "edgeless:2"}
+)
+
 # exit code, text in stderr, build(tmp_path) -> (argv, extra environment)
 _BAD_INPUTS = [
     pytest.param(
@@ -697,6 +702,31 @@ _BAD_INPUTS = [
         2, "at least 2 when no delta is given",
         lambda t: (["bounds", "--config", _config(t), "--horizon", "1"], {}),
         id="bounds-horizon-one",
+    ),
+    pytest.param(
+        2, "the theorem bound overflows a float at horizon 1e+160 and H 6.67",
+        lambda t: (
+            ["bounds", "--config", _config(t), "--horizon", str(10**160),
+             "--delta", "0.1"],
+            {},
+        ),
+        id="bounds-theorem-overflows",
+    ),
+    pytest.param(
+        2, "the lemma_original bound overflows a float at horizon 64 and H 1e+306",
+        lambda t: (
+            ["bounds", "--config", _write(t / "c.yaml", _TINY_GAP)], {}
+        ),
+        id="bounds-hardness-overflows",
+    ),
+    pytest.param(
+        2, "the lemma_original bound overflows a float at horizon 64 and H 1e+306",
+        lambda t: (
+            ["simulate", "--config", _write(t / "c.yaml", _TINY_GAP),
+             "--out", str(t / "out")],
+            {},
+        ),
+        id="simulate-hardness-overflows",
     ),
     pytest.param(
         2, "at least 2 when no delta is given",

@@ -377,6 +377,44 @@ class TestSweepAlpha:
     def test_empty_sweep(self):
         assert sweep_alpha(make_config(), []) == []
 
+    @pytest.mark.parametrize("policy", ["ucb-n", "ucb1", "ts-n"])
+    def test_one_graph_sweep_is_run_experiment(self, policy):
+        graph = disjoint_cliques((3, 3))
+        config = ExperimentConfig(
+            BanditInstance(np.array([0.9, 0.7, 0.6, 0.6, 0.4, 0.2]), graph),
+            policy,
+            300,
+            num_runs=4,
+            base_seed=13,
+        )
+        report = run_experiment(config)
+        [row] = sweep_alpha(config, [("cliques:3,3", graph)])
+        assert report.config is config
+        assert row.mean_final_regret == report.mean_final_regret
+        assert row.stderr_final_regret == report.stderr_final_regret
+        assert row.ucbn_bound == report.bounds.ucbn_bound
+        assert row.gap_free_bound == report.bounds.gap_free_bound
+
+    def test_failing_bounds_stop_the_sweep_before_any_episode(self, monkeypatch):
+        from graphbandits import kernels, sim
+
+        second = edgeless(3)
+        real_bound_report = sim.bound_report
+
+        def bound_report(instance, *args, **kwargs):
+            if instance.graph is second:
+                raise InputError("no bound for this graph")
+            return real_bound_report(instance, *args, **kwargs)
+
+        batches = []
+        monkeypatch.setattr(sim, "bound_report", bound_report)
+        monkeypatch.setattr(
+            kernels, "run_episode_batch", lambda *a, **k: batches.append(a)
+        )
+        with pytest.raises(InputError, match="no bound for this graph"):
+            sweep_alpha(make_config(), [("first", complete(3)), ("second", second)])
+        assert batches == []
+
     def test_csv_lines(self):
         config = make_config(num_runs=2)
         rows = sweep_alpha(config, [("edgeless:3", edgeless(3))])
