@@ -1,9 +1,8 @@
 """Undirected feedback graphs and exact maximum-independent-set search.
 
-Vertices are arms 0..num_arms-1. Every vertex carries a self-loop: pulling
-an arm always reveals its own reward, and the neighborhood of an arm is the
-set of arms whose rewards become visible when it is pulled. Self-loops are
-ignored by all independence computations.
+Vertices are arms 0..num_arms-1. Each carries a self-loop, since pulling an
+arm reveals its own reward; its neighborhood is the arms whose rewards the
+pull reveals. Independence computations ignore self-loops.
 
 A graph is one read-only K x K boolean adjacency matrix, True on the
 diagonal; every view of it, the search's bitmasks too, is read from it.
@@ -20,24 +19,13 @@ from .errors import CapabilityError, InputError, at_least
 
 DEFAULT_EXACT_LIMIT = 30
 
-# Largest arm count a graph may have. Its K x K boolean adjacency matrix
-# takes 256 MiB at this limit.
+# Largest arm count a graph may have; its K x K bool matrix then takes 256 MiB.
 MAX_ARMS = 2**14
 
 __all__ = [
-    "DEFAULT_EXACT_LIMIT",
-    "MAX_ARMS",
-    "FeedbackGraph",
-    "IndependentSetResult",
-    "complete",
-    "cycle",
-    "disjoint_cliques",
-    "edgeless",
-    "erdos_renyi",
-    "independence_number",
-    "max_independent_set",
-    "parse_graph_spec",
-    "star",
+    "DEFAULT_EXACT_LIMIT", "MAX_ARMS", "FeedbackGraph", "IndependentSetResult",
+    "complete", "cycle", "disjoint_cliques", "edgeless", "erdos_renyi",
+    "independence_number", "max_independent_set", "parse_graph_spec", "star",
 ]
 
 
@@ -47,10 +35,7 @@ class FeedbackGraph:
     __slots__ = ("num_arms", "_adj")
 
     def __init__(self, num_arms: int, edges=()):
-        if num_arms < 0:
-            raise InputError(f"num_arms must be nonnegative, got {num_arms}")
-        if num_arms > MAX_ARMS:
-            raise InputError(f"num_arms must be at most {MAX_ARMS}, got {num_arms}")
+        num_arms = _require_arms(num_arms, 0)
         adj = np.eye(num_arms, dtype=bool)
         for a, b in edges:
             a, b = int(a), int(b)
@@ -88,7 +73,7 @@ class FeedbackGraph:
 
     def induced_subgraph(self, subset) -> tuple["FeedbackGraph", tuple[int, ...]]:
         """Subgraph on ``subset`` and the sorted original ids of its vertices."""
-        keep = sorted(set(int(v) for v in subset))
+        keep = sorted({int(v) for v in subset})
         for v in keep:
             self._check_vertex(v)
         return FeedbackGraph._from_matrix(self._adj[np.ix_(keep, keep)]), tuple(keep)
@@ -126,8 +111,8 @@ class IndependentSetResult:
 
 
 def _neighbor_masks(graph: FeedbackGraph, order=None) -> list[int]:
-    # bit b of masks[a] is set when b is a neighbour of a other than a itself
-    # (XOR clears the diagonal bit), vertex i standing for order[i] if given
+    # bit b of masks[a] is set when b != a is a neighbour of a (the XOR clears
+    # the diagonal bit), vertex i standing for order[i] if given
     adj = graph.adjacency_matrix()
     if order is not None:
         adj = adj.take(order, 0).take(order, 1)
@@ -138,14 +123,12 @@ def _neighbor_masks(graph: FeedbackGraph, order=None) -> list[int]:
 def _clique_cover_bound(cand: int, masks, weights, classes=None) -> int:
     """Upper bound on the weight of an independent subset of ``cand``.
 
-    Greedily covers ``cand`` with cliques (the lowest remaining vertex, then
-    the lowest remaining vertex adjacent to the whole clique so far) and adds
-    up the largest weight in each clique. An independent set holds at most
-    one vertex per clique. On the complement graph this is the colouring
-    bound of maximum-clique search (Tomita & Seki 2003, Ostergard 2002).
-    A ``classes`` list gets each clique but lone vertices (no neighbour in
-    ``cand``) as (members, top weight, the summed top weights and the
-    members of the cliques before it).
+    Covers ``cand`` greedily with cliques, each grown from the lowest
+    remaining vertex by the lowest vertex adjacent to all of it, and sums
+    each clique's top weight: the colouring bound of maximum-clique search
+    on the complement (Tomita & Seki 2003, Ostergard 2002). A ``classes``
+    list gets each clique but lone vertices (no neighbour in ``cand``) as
+    (members, top weight, the top weights and members of those before it).
     """
     total = free = covered = 0
     rest = cand
@@ -177,11 +160,10 @@ def _clique_cover_bound(cand: int, masks, weights, classes=None) -> int:
 def _best_value(masks, weights, cand: int) -> int:
     """Branch-and-bound maximum weight of an independent subset of ``cand``.
 
-    Colour-ordered search (Tomita & Seki 2003) on the complement graph: a
-    node takes its lone vertices (no weight is negative), then tries the
-    others from the last clique of its cover back; taking ``v`` leaves the
-    cliques before its own, which bound the branch. It recurses at most
-    alpha + 1 deep.
+    Colour-ordered search (Tomita & Seki 2003) on the complement: a node
+    takes its lone vertices (no weight is negative), then tries the others
+    from the last clique of its cover back; taking ``v`` leaves the cliques
+    before its own, which bound the branch. It recurses alpha + 1 deep.
     """
     best = 0
 
@@ -207,35 +189,40 @@ def _best_value(masks, weights, cand: int) -> int:
     return best
 
 
-def _lex_smallest_optimal(masks, weights, goal: int) -> list[int]:
+def _lex_smallest_optimal(masks, weights, goal, order, bmasks, bweights) -> list:
     """Lexicographically smallest vertex set of integer weight at least ``goal``.
 
     Depth-first over the lowest remaining vertex, taking it before leaving
-    it out, and stops at the first set that reaches the goal. A prefix is
-    met before its extensions, so that set is the smallest sorted tuple.
+    it out; the first set that reaches the goal is the smallest sorted tuple.
+    The bound reads the candidates as ``bcand``, in labels where vertex i is
+    ``order[i]`` (``bmasks``, ``bweights``; ``bit[v]`` is v's bit there). A
+    valid bound prunes no branch that reaches the goal, so the answer does
+    not depend on that labelling.
     """
     chosen: list[int] = []
+    bit = [1 << i for i in sorted(range(len(order)), key=order.__getitem__)]
+    out = [bmasks[b.bit_length() - 1] | b for b in bit]
 
-    def dfs(cand, acc):
+    def dfs(cand, bcand, acc):
         if acc >= goal:
             return True
-        if not cand or acc + _clique_cover_bound(cand, masks, weights) < goal:
+        if not cand or acc + _clique_cover_bound(bcand, bmasks, bweights) < goal:
             return False
         low = cand & -cand
         v = low.bit_length() - 1
         chosen.append(v)
-        if dfs(cand & ~masks[v] & ~low, acc + weights[v]):
+        if dfs(cand & ~masks[v] & ~low, bcand & ~out[v], acc + weights[v]):
             return True
         chosen.pop()
-        return dfs(cand ^ low, acc)
+        return dfs(cand ^ low, bcand ^ bit[v], acc)
 
-    dfs((1 << len(masks)) - 1, 0)
+    full = (1 << len(masks)) - 1
+    dfs(full, full, 0)
     return chosen
 
 
 def _greedy_set(graph: FeedbackGraph, weights) -> IndependentSetResult:
-    # heaviest first, then the smallest neighborhood; the sort is stable, so
-    # remaining ties go to the lowest id
+    # heaviest first, then the smallest neighborhood, then (stable sort) lowest id
     adj = graph.adjacency_matrix()
     w = np.ones(graph.num_arms) if weights is None else np.array(weights)
     order = np.lexsort((adj.sum(axis=1), -w))
@@ -263,13 +250,11 @@ def max_independent_set(
 
     ``weights`` defaults to all ones (so the value is the independence
     number). Exact search scales the weights to integers, so every sum is
-    exact, and finds the optimum by branch and bound; ties go to the
-    lexicographically smallest sorted vertex tuple, the first set at the
-    optimum that a lowest-vertex-first search meets. That search recurses
-    once per vertex, and a graph too deep for the interpreter is refused,
-    as is one above ``exact_limit`` vertices unless ``allow_approximate``
-    asks for a deterministic greedy answer, flagged as such. The last
-    ``_MEMO_SIZE`` exact answers are kept per (graph, weights).
+    exact; ties go to the lexicographically smallest sorted vertex tuple.
+    A graph too deep for the interpreter's recursion is refused, as is one
+    above ``exact_limit`` vertices unless ``allow_approximate`` asks for a
+    greedy answer, flagged as such. The last ``_MEMO_SIZE`` exact answers
+    are kept per (graph, weights).
     """
     k = graph.num_arms
     if weights is not None:
@@ -312,6 +297,11 @@ _memo: OrderedDict = OrderedDict()
 
 
 def _exact_set(graph: FeedbackGraph, weights) -> IndependentSetResult:
+    """Optimum by ``_best_value``, set by ``_lex_smallest_optimal``.
+
+    The first relabels lightest first, the second bounds heaviest first;
+    both then sparsest, so equal weights share one relabelling.
+    """
     k = graph.num_arms
     masks = _neighbor_masks(graph)
     w = [1.0] * k if weights is None else weights
@@ -320,15 +310,20 @@ def _exact_set(graph: FeedbackGraph, weights) -> IndependentSetResult:
     ratios = [x.as_integer_ratio() for x in w]
     scale = max(d for _, d in ratios)
     iw = [n * (scale // d) for n, d in ratios]
+
+    def relabel(sign):
+        order = sorted(range(k), key=lambda v: (sign * iw[v], masks[v].bit_count(), v))
+        return order, _neighbor_masks(graph, order), [iw[v] for v in order]
+
     try:
-        # the lightest, sparsest vertices seed the first cliques
-        order = sorted(range(k), key=lambda v: (iw[v], masks[v].bit_count(), v))
-        target = _best_value(
-            _neighbor_masks(graph, order), [iw[v] for v in order], (1 << k) - 1
-        ) / scale
+        order, bmasks, bweights = relabel(1)
+        target = _best_value(bmasks, bweights, (1 << k) - 1) / scale
         # sets within a relative 1e-9 of the optimum tie it
         n, d = (target - 1e-9 * target).as_integer_ratio()
-        chosen = _lex_smallest_optimal(masks, iw, -(-n * scale // d))
+        if min(iw) < max(iw):
+            order, bmasks, bweights = relabel(-1)
+        goal = -(-n * scale // d)
+        chosen = _lex_smallest_optimal(masks, iw, goal, order, bmasks, bweights)
     except OverflowError:
         raise InputError("the maximum independent-set weight overflows") from None
     except RecursionError:
@@ -345,8 +340,8 @@ def independence_number(graph: FeedbackGraph, **kwargs) -> int:
     return int(max_independent_set(graph, None, **kwargs).value)
 
 
-def _require_arms(k: int) -> int:
-    k = at_least("num_arms", k)
+def _require_arms(k: int, low: int = 1) -> int:
+    k = at_least("num_arms", k, low)
     if k > MAX_ARMS:
         raise InputError(f"num_arms must be at most {MAX_ARMS}, got {k}")
     return k
@@ -426,7 +421,7 @@ def _symmetrise(adj):
 def _read_edge_list(path: str) -> FeedbackGraph:
     declared, edges = 0, []
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read graph file {path!r}: {exc}") from None
     with fh:
@@ -481,7 +476,5 @@ def parse_graph_spec(spec: str) -> FeedbackGraph:
         raise
     except ValueError:
         raise InputError(f"malformed graph spec {spec!r}") from None
-    raise InputError(
-        f"unknown graph family {name!r}; expected one of complete, edgeless, "
-        "cycle, star, cliques, er, file"
-    )
+    families = ", ".join([*_SIZED, "cliques", "er", "file"])
+    raise InputError(f"unknown graph family {name!r}; expected one of {families}")

@@ -66,9 +66,17 @@ def default_checkpoints(horizon: int) -> tuple[int, ...]:
     return tuple(points)
 
 
+class _DefaultCheckpoints(tuple):
+    """``default_checkpoints``, marked so that a new horizon redraws them."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment.
+
+    Checkpoints left out follow the horizon, also through
+    ``dataclasses.replace``; given ones must lie within it.
+    """
 
     instance: BanditInstance
     policy: str
@@ -88,8 +96,8 @@ class ExperimentConfig:
         base_seed = int(self.base_seed)
         if base_seed < 0:
             raise InputError(f"seed must be nonnegative, got {base_seed}")
-        if self.checkpoints is None:
-            checkpoints = default_checkpoints(horizon)
+        if self.checkpoints is None or type(self.checkpoints) is _DefaultCheckpoints:
+            checkpoints = _DefaultCheckpoints(default_checkpoints(horizon))
         else:
             checkpoints = tuple(int(c) for c in self.checkpoints)
             if not checkpoints:

@@ -26,6 +26,7 @@ from graphbandits.graph import (
     _best_value,
     _clique_cover_bound,
     _greedy_set,
+    _lex_smallest_optimal,
     _neighbor_masks,
     _symmetrise,
 )
@@ -299,6 +300,13 @@ class TestAgainstEnumeration:
                 assert independence_number(sub) <= parent
 
 
+def _integer_weights(weights):
+    """The weights over their common denominator, as ``_exact_set`` scales them."""
+    ratios = [x.as_integer_ratio() for x in weights]
+    scale = max(d for _, d in ratios)
+    return [n * (scale // d) for n, d in ratios], scale
+
+
 @st.composite
 def _graph_weights_and_mask(draw):
     k = draw(st.integers(1, 10))
@@ -319,9 +327,7 @@ class TestCliqueCoverBound:
         graph, weights, cand = case
         w = [1.0] * graph.num_arms if weights is None else [float(x) for x in weights]
         # over the common denominator every weight and every sum is exact
-        ratios = [x.as_integer_ratio() for x in w]
-        scale = max(d for _, d in ratios)
-        iw = [n * (scale // d) for n, d in ratios]
+        iw, _ = _integer_weights(w)
         bound = _clique_cover_bound(cand, _neighbor_masks(graph), iw)
         members = [v for v in range(graph.num_arms) if cand >> v & 1]
         sub, relabel = graph.induced_subgraph(members)
@@ -348,13 +354,13 @@ _PALETTES = {
 
 
 @st.composite
-def _weighted_graph_and_relabelling(draw):
+def _weighted_graph_and_relabelling(draw, palettes=_PALETTES):
     k = draw(st.integers(1, 12))
     pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
     # one bit per pair, so dense graphs come up as often as sparse ones
     bits = draw(st.integers(0, (1 << len(pairs)) - 1))
     edges = [pair for i, pair in enumerate(pairs) if bits >> i & 1]
-    palette = _PALETTES[draw(st.sampled_from(sorted(_PALETTES)))]
+    palette = palettes[draw(st.sampled_from(sorted(palettes)))]
     weights = draw(st.lists(palette, min_size=k, max_size=k))
     return k, edges, weights, draw(st.permutations(range(k)))
 
@@ -363,9 +369,7 @@ class TestBestValue:
     @given(_weighted_graph_and_relabelling())
     def test_optimum_matches_enumeration_under_any_labelling(self, case):
         k, edges, weights, perm = case
-        ratios = [x.as_integer_ratio() for x in weights]
-        scale = max(d for _, d in ratios)
-        iw = [n * (scale // d) for n, d in ratios]
+        iw, scale = _integer_weights(weights)
         got = _best_value(_neighbor_masks(FeedbackGraph(k, edges)), iw, (1 << k) - 1)
         want, _ = brute_force_mis(k, edges, weights)
         assert got / scale == pytest.approx(want, rel=1e-12)
@@ -374,6 +378,69 @@ class TestBestValue:
         relabelled = FeedbackGraph(k, [(new[a], new[b]) for a, b in edges])
         masks = _neighbor_masks(relabelled)
         assert _best_value(masks, [iw[v] for v in perm], (1 << k) - 1) == got
+
+
+class TestLexSmallestOptimal:
+    @given(
+        _weighted_graph_and_relabelling(
+            {
+                "unit": st.just(1.0),
+                "integer": st.integers(1, 4).map(float),
+                "3-decimal": st.integers(500, 4000).map(lambda n: n / 1000),
+                "near-tie": _PALETTES["near-tie"],
+            }
+        )
+    )
+    def test_set_does_not_depend_on_the_bound_labelling(self, case):
+        k, edges, weights, perm = case
+        graph = FeedbackGraph(k, edges)
+        masks = _neighbor_masks(graph)
+        iw, scale = _integer_weights(weights)
+        # the goal as _exact_set derives it from the optimum
+        target = _best_value(masks, iw, (1 << k) - 1) / scale
+        n, d = (target - 1e-9 * target).as_integer_ratio()
+        goal = -(-n * scale // d)
+        plain = _lex_smallest_optimal(masks, iw, goal, list(range(k)), masks, iw)
+        relabelled = _lex_smallest_optimal(
+            masks, iw, goal, perm, _neighbor_masks(graph, perm), [iw[v] for v in perm]
+        )
+        assert relabelled == plain
+        assert tuple(relabelled) == brute_force_mis(k, edges, weights)[1]
+
+    def test_heaviest_first_bound_prunes_er_60(self, monkeypatch):
+        # the search in the original labels called the bound 556 times here
+        calls = []
+        real = graph_module._clique_cover_bound
+
+        def spy(cand, masks, weights, classes=None):
+            if classes is None:  # the lexicographic search's calls only
+                calls.append(cand)
+            return real(cand, masks, weights, classes)
+
+        monkeypatch.setattr(graph_module, "_clique_cover_bound", spy)
+        got = graph_module._exact_set(parse_graph_spec("er:60,0.1,1"), None)
+        assert got.value == 24
+        assert len(calls) <= 150
+
+    def test_equal_weights_build_no_extra_masks(self, search_spy, monkeypatch):
+        built = []
+        real = graph_module._neighbor_masks
+
+        def spy(graph, order=None):
+            built.append(order)
+            return real(graph, order)
+
+        monkeypatch.setattr(graph_module, "_neighbor_masks", spy)
+        g = erdos_renyi(12, 0.3, 5)
+        for weights, masks_built in [
+            (None, 2),
+            ([2.5] * 12, 2),
+            ([1.0 + v / 8 for v in range(12)], 3),
+        ]:
+            built.clear()
+            max_independent_set(g, weights)
+            assert len(built) == masks_built, weights
+        assert len(search_spy) == 3
 
 
 class TestScaleInvariance:

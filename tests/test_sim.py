@@ -4,6 +4,7 @@ The statistical comparisons here use matched reward streams (same seeds,
 same per-round uniform draws), so policy and graph differences are the only
 source of divergence; tolerances are two standard errors.
 """
+import dataclasses
 import math
 import tracemalloc
 
@@ -82,6 +83,18 @@ class TestExperimentConfig:
     def test_validation(self, overrides):
         with pytest.raises(InputError):
             make_config(**overrides)
+
+    def test_default_checkpoints_follow_a_replaced_horizon(self):
+        config = make_config(horizon=4096)
+        shorter = dataclasses.replace(config, horizon=2048)
+        assert shorter.checkpoints == default_checkpoints(2048)
+        longer = dataclasses.replace(shorter, horizon=5000)
+        assert longer.checkpoints == default_checkpoints(5000)
+        # checkpoints given as a plain tuple are the caller's, and checked
+        given = make_config(horizon=4096, checkpoints=default_checkpoints(4096))
+        with pytest.raises(InputError, match="checkpoints must lie in"):
+            dataclasses.replace(given, horizon=2048)
+        assert dataclasses.replace(given, horizon=5000).checkpoints[-1] == 4096
 
     def test_horizon_one_runs_with_explicit_delta(self):
         result = run_experiment(make_config(horizon=1, delta=0.5))
