@@ -52,7 +52,10 @@ def _real_horizon(horizon: int) -> float:
     try:
         return float(horizon)
     except OverflowError:
-        digits = len(str(horizon))
+        # counted without str(), which refuses more than 4,300 digits
+        digits = int(horizon.bit_length() * math.log10(2))  # at most the count
+        while horizon >= 10**digits:
+            digits += 1
         raise InputError(f"horizon of {digits} digits is beyond float range") from None
 
 

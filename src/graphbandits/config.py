@@ -130,13 +130,6 @@ def experiment_config_from_dict(data: dict, source: str = "<config>") -> Experim
     exact_limit = _integer(
         mis_block.get("exact_limit", DEFAULT_EXACT_LIMIT), "mis.exact_limit"
     )
-    if exact_limit < 0:
-        raise ConfigError(f"mis.exact_limit must be nonnegative, got {exact_limit}")
-    allow_approximate = mis_block.get("allow_approximate", False)
-    if not isinstance(allow_approximate, bool):
-        raise ConfigError(
-            f"mis.allow_approximate must be true or false, got {allow_approximate!r}"
-        )
 
     # InputError is a ValueError, so domain violations surface as config
     # errors here; capability errors pass through untouched.
@@ -151,7 +144,7 @@ def experiment_config_from_dict(data: dict, source: str = "<config>") -> Experim
             delta=delta,
             checkpoints=checkpoints,
             mis_exact_limit=exact_limit,
-            allow_approximate_mis=allow_approximate,
+            allow_approximate_mis=mis_block.get("allow_approximate", False),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
@@ -168,6 +161,8 @@ def load_experiment_config(path) -> ExperimentConfig:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+    except ValueError as exc:  # e.g. an integer past str()'s digit limit, a bad date
+        raise ConfigError(f"{path}: unreadable value: {exc}") from None
     if data is None:
         raise ConfigError(f"{path}: config file is empty")
     return experiment_config_from_dict(data, source=str(path))

@@ -189,35 +189,35 @@ def _best_value(masks, weights, cand: int) -> int:
     return best
 
 
-def _lex_smallest_optimal(masks, weights, goal, order, bmasks, bweights) -> list:
+def _lex_smallest_optimal(goal, order, masks, weights) -> list:
     """Lexicographically smallest vertex set of integer weight at least ``goal``.
 
-    Depth-first over the lowest remaining vertex, taking it before leaving
-    it out; the first set that reaches the goal is the smallest sorted tuple.
-    The bound reads the candidates as ``bcand``, in labels where vertex i is
-    ``order[i]`` (``bmasks``, ``bweights``; ``bit[v]`` is v's bit there). A
-    valid bound prunes no branch that reaches the goal, so the answer does
-    not depend on that labelling.
+    ``masks`` and ``weights`` label vertex ``order[i]`` as i; ``cand`` holds
+    the candidates in those labels, ``bit[v]`` being original vertex v's bit.
+    Depth-first over the lowest original vertex left, taking it before
+    leaving it out, so the first set that reaches the goal is the smallest
+    sorted tuple; the bound prunes no branch that reaches it, so the answer
+    does not depend on the labelling.
     """
     chosen: list[int] = []
-    bit = [1 << i for i in sorted(range(len(order)), key=order.__getitem__)]
-    out = [bmasks[b.bit_length() - 1] | b for b in bit]
+    place = sorted(range(len(order)), key=order.__getitem__)
+    bit = [1 << i for i in place]
 
-    def dfs(cand, bcand, acc):
+    def dfs(v, cand, acc):
         if acc >= goal:
             return True
-        if not cand or acc + _clique_cover_bound(bcand, bmasks, bweights) < goal:
+        if not cand or acc + _clique_cover_bound(cand, masks, weights) < goal:
             return False
-        low = cand & -cand
-        v = low.bit_length() - 1
+        while not cand & bit[v]:
+            v += 1
+        i = place[v]
         chosen.append(v)
-        if dfs(cand & ~masks[v] & ~low, bcand & ~out[v], acc + weights[v]):
+        if dfs(v + 1, cand & ~(masks[i] | bit[v]), acc + weights[i]):
             return True
         chosen.pop()
-        return dfs(cand ^ low, bcand ^ bit[v], acc)
+        return dfs(v + 1, cand ^ bit[v], acc)
 
-    full = (1 << len(masks)) - 1
-    dfs(full, full, 0)
+    dfs(0, (1 << len(order)) - 1, 0)
     return chosen
 
 
@@ -299,11 +299,11 @@ _memo: OrderedDict = OrderedDict()
 def _exact_set(graph: FeedbackGraph, weights) -> IndependentSetResult:
     """Optimum by ``_best_value``, set by ``_lex_smallest_optimal``.
 
-    The first relabels lightest first, the second bounds heaviest first;
-    both then sparsest, so equal weights share one relabelling.
+    Each reads one labelling, the first lightest first, the second heaviest
+    first, both then sparsest; so equal weights share one set of masks.
     """
     k = graph.num_arms
-    masks = _neighbor_masks(graph)
+    deg = graph.adjacency_matrix().sum(axis=1).tolist()
     w = [1.0] * k if weights is None else weights
     # Every float is a dyadic rational, so over the largest denominator the
     # weights are integers and every subset sum below is exact.
@@ -312,18 +312,17 @@ def _exact_set(graph: FeedbackGraph, weights) -> IndependentSetResult:
     iw = [n * (scale // d) for n, d in ratios]
 
     def relabel(sign):
-        order = sorted(range(k), key=lambda v: (sign * iw[v], masks[v].bit_count(), v))
+        order = sorted(range(k), key=lambda v: (sign * iw[v], deg[v], v))
         return order, _neighbor_masks(graph, order), [iw[v] for v in order]
 
     try:
-        order, bmasks, bweights = relabel(1)
-        target = _best_value(bmasks, bweights, (1 << k) - 1) / scale
+        order, masks, lw = relabel(1)
+        target = _best_value(masks, lw, (1 << k) - 1) / scale
         # sets within a relative 1e-9 of the optimum tie it
         n, d = (target - 1e-9 * target).as_integer_ratio()
         if min(iw) < max(iw):
-            order, bmasks, bweights = relabel(-1)
-        goal = -(-n * scale // d)
-        chosen = _lex_smallest_optimal(masks, iw, goal, order, bmasks, bweights)
+            order, masks, lw = relabel(-1)
+        chosen = _lex_smallest_optimal(-(-n * scale // d), order, masks, lw)
     except OverflowError:
         raise InputError("the maximum independent-set weight overflows") from None
     except RecursionError:

@@ -311,6 +311,11 @@ def run_episode_batch(
     """
     means = np.ascontiguousarray(means, dtype=np.float64)
     adj = np.ascontiguousarray(adj, dtype=np.bool_)
+    k = means.shape[0] if means.ndim == 1 else -1
+    if k < 1:
+        raise InputError(f"means must be a nonempty 1-D array, got shape {means.shape}")
+    if adj.ndim != 3 or adj.shape[1:] != (k, k):
+        raise InputError(f"adj must have shape (G, {k}, {k}), got {adj.shape}")
     horizon = at_least("horizon", horizon)
     policy = check_policy(policy)
     marks = [int(m) for m in marks]
@@ -318,10 +323,10 @@ def run_episode_batch(
         raise InputError(
             f"marks must be increasing rounds in [0, {horizon - 1}], got {marks}"
         )
-    num_runs = int(num_runs)
-    if gaps is None:
-        gaps = np.zeros(means.shape[0], dtype=np.float64)
-    gaps = np.asarray(gaps, dtype=np.float64)
+    num_runs = at_least("num_runs", num_runs)
+    gaps = np.zeros(k) if gaps is None else np.asarray(gaps, dtype=np.float64)
+    if gaps.shape != (k,):
+        raise InputError(f"gaps must have shape ({k},), got {gaps.shape}")
 
     def share(runs):
         return lambda: _run_share(

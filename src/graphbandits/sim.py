@@ -108,12 +108,23 @@ class ExperimentConfig:
                 raise InputError(
                     f"checkpoints must lie in [1, {horizon}], got {checkpoints}"
                 )
+        limit = self.mis_exact_limit
+        if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)) or limit < 0:
+            raise InputError(
+                "mis_exact_limit (mis.exact_limit, --mis-limit) must be a "
+                f"nonnegative integer, got {limit!r}"
+            )
+        if not isinstance(self.allow_approximate_mis, bool):
+            raise InputError(
+                "allow_approximate_mis (mis.allow_approximate) must be true or "
+                f"false, got {self.allow_approximate_mis!r}"
+            )
         object.__setattr__(self, "policy", policy)
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "num_runs", num_runs)
         object.__setattr__(self, "base_seed", base_seed)
         object.__setattr__(self, "checkpoints", checkpoints)
-        object.__setattr__(self, "mis_exact_limit", int(self.mis_exact_limit))
+        object.__setattr__(self, "mis_exact_limit", int(limit))
 
 
 def episode_stream(base_seed: int, run_index: int) -> np.random.Generator:

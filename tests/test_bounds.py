@@ -10,6 +10,7 @@ import pytest
 
 from graphbandits import (
     BanditInstance,
+    ExperimentConfig,
     InputError,
     alpha_log_factor,
     bound_report,
@@ -61,6 +62,15 @@ class TestConfidenceScale:
         with pytest.raises(InputError, match="delta 1e-320 is too small"):
             confidence_scale(100, 5, 1e-320)
         assert math.isfinite(confidence_scale(100, 5, 1e-300))
+
+    def test_horizon_past_the_decimal_conversion_limit(self):
+        # str() refuses more than 4,300 digits; the message counts them without it
+        inst = BanditInstance([0.9, 0.6], edgeless(2))
+        needle = "horizon of 5001 digits is beyond float range"
+        with pytest.raises(InputError, match=needle):
+            bound_report(inst, 10**5000)
+        with pytest.raises(InputError, match=needle):
+            ExperimentConfig(inst, "ucb-n", 10**5000)
 
     def test_other_domains(self):
         with pytest.raises(InputError):

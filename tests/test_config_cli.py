@@ -456,7 +456,10 @@ class TestVerifyLemmaCommand:
             "tightest ratio 2.75 at counts=(2,2,2,1); threshold 4\n"
         )
 
-    @pytest.mark.parametrize("alpha, phases", [(3, 1000), (1, 1100), (3, 5000)])
+    # 2^14284 has 4,300 digits, the most that str() converts
+    @pytest.mark.parametrize(
+        "alpha, phases", [(3, 1000), (1, 1100), (3, 5000), (1, 14284)]
+    )
     def test_long_box_exits_zero_in_bounded_memory(self, alpha, phases):
         # these boxes once crashed the sampled mode (74.5 GiB asked of
         # numpy) or overflowed a float; the certificate needs neither
@@ -467,6 +470,17 @@ class TestVerifyLemmaCommand:
         assert "Traceback" not in proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0] == f"{(alpha + 1) ** phases} sequences, 0 violations"
+        assert lines[1].startswith("tightest ratio ")
+
+    @pytest.mark.parametrize("alpha, phases", [(1, 14285), (3, 12800), (2, 15700)])
+    def test_box_size_past_the_decimal_conversion_limit(self, alpha, phases):
+        # (alpha + 1)^P has more than 4,300 digits here, which str() refuses
+        proc = run_cli_capped(
+            "verify-lemma", "--alpha", str(alpha), "--phases", str(phases)
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert lines[0] == f"{alpha + 1}^{phases} sequences, 0 violations"
         assert lines[1].startswith("tightest ratio ")
 
     def test_over_limit_box_exits_three(self):
@@ -577,6 +591,16 @@ def _simulate(t, section, **fields):
 
 def _config(t):
     return _write(t / "c.yaml", config_dict())
+
+
+def _long_integer(t, section, field):
+    """simulate argv for the default config with a 5,000-digit ``section.field``."""
+    data = config_dict()
+    data.setdefault(section, {})[field] = "LONG"
+    # safe_dump would convert the integer to decimal, which str() refuses
+    text = yaml.safe_dump(data).replace("LONG", "7" * 5000)
+    path = _write(t / "c.yaml", text.encode())
+    return ["simulate", "--config", path, "--out", str(t / "out")]
 
 
 # a gap of 1e-306 gives H = 1e306, which finite bounds cannot carry
@@ -692,6 +716,14 @@ _BAD_INPUTS = [
         lambda t: (_simulate(t, "run", horizon=10**400), {}),
         id="config-horizon-past-float",
     ),
+    *[
+        pytest.param(
+            2, "c.yaml: unreadable value",
+            lambda t, section=section, field=field: (_long_integer(t, section, field), {}),
+            id=f"config-{field}-past-decimal-limit",
+        )
+        for section, field in [("run", "horizon"), ("run", "seed"), ("mis", "exact_limit")]
+    ],
     pytest.param(
         # the default delta 1e-160 is not the user's: the horizon is named
         2, "horizon 1e+160 is too large",

@@ -400,9 +400,9 @@ class TestLexSmallestOptimal:
         target = _best_value(masks, iw, (1 << k) - 1) / scale
         n, d = (target - 1e-9 * target).as_integer_ratio()
         goal = -(-n * scale // d)
-        plain = _lex_smallest_optimal(masks, iw, goal, list(range(k)), masks, iw)
+        plain = _lex_smallest_optimal(goal, list(range(k)), masks, iw)
         relabelled = _lex_smallest_optimal(
-            masks, iw, goal, perm, _neighbor_masks(graph, perm), [iw[v] for v in perm]
+            goal, perm, _neighbor_masks(graph, perm), [iw[v] for v in perm]
         )
         assert relabelled == plain
         assert tuple(relabelled) == brute_force_mis(k, edges, weights)[1]
@@ -433,13 +433,14 @@ class TestLexSmallestOptimal:
         monkeypatch.setattr(graph_module, "_neighbor_masks", spy)
         g = erdos_renyi(12, 0.3, 5)
         for weights, masks_built in [
-            (None, 2),
-            ([2.5] * 12, 2),
-            ([1.0 + v / 8 for v in range(12)], 3),
+            (None, 1),
+            ([2.5] * 12, 1),
+            ([1.0 + v / 8 for v in range(12)], 2),
         ]:
             built.clear()
             max_independent_set(g, weights)
             assert len(built) == masks_built, weights
+            assert None not in built  # every set is relabelled
         assert len(search_spy) == 3
 
 

@@ -195,6 +195,22 @@ class TestBatchAgainstByHand:
         for marks in ([3, 3], [5, 2], [-1], [10]):
             with pytest.raises(InputError):
                 _batch("ucb-n", inst, [cycle(6)], 10, 2, 0, marks)
+        means, adj = np.array([0.5, 0.4, 0.3]), cycle(3).adjacency_matrix()
+        for change, needle in [
+            ({"num_runs": 0}, "num_runs"),
+            ({"num_runs": -1}, "num_runs"),
+            ({"means": np.full((3, 3), 0.5)}, "means"),
+            ({"adj": cycle(4).adjacency_matrix()[None]}, "adj"),
+            ({"adj": adj}, "adj"),
+            ({"gaps": [0.2, 0.1, 0.0, 5.0, 7.0]}, "gaps"),
+        ]:
+            call = {"means": means, "adj": adj[None], "num_runs": 2, "gaps": [0.2, 0.1, 0.0]}
+            call.update(change)
+            with pytest.raises(InputError, match=needle):
+                run_episode_batch("ucb-n", horizon=10, stream=episode_stream, **call)
+        gen = np.random.default_rng(0)
+        with pytest.raises(InputError, match="adj"):
+            run_episode_arrays("ucb-n", means, cycle(4).adjacency_matrix(), 10, gen)
 
 
 def _force_split(monkeypatch, cpus):

@@ -6,6 +6,7 @@ source of divergence; tolerances are two standard errors.
 """
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -95,6 +96,26 @@ class TestExperimentConfig:
         with pytest.raises(InputError, match="checkpoints must lie in"):
             dataclasses.replace(given, horizon=2048)
         assert dataclasses.replace(given, horizon=5000).checkpoints[-1] == 4096
+
+    @pytest.mark.parametrize(
+        "overrides, needle",
+        [
+            (dict(mis_exact_limit=-1), "mis.exact_limit, --mis-limit"),
+            (dict(mis_exact_limit=2.5), "mis.exact_limit, --mis-limit"),
+            (dict(mis_exact_limit=True), "mis.exact_limit, --mis-limit"),
+            (dict(mis_exact_limit="30"), "mis.exact_limit, --mis-limit"),
+            # a truthy string must not allow greedy answers
+            (dict(allow_approximate_mis="no"), "mis.allow_approximate"),
+            (dict(allow_approximate_mis=1), "mis.allow_approximate"),
+        ],
+    )
+    def test_mis_settings_are_checked(self, overrides, needle):
+        with pytest.raises(InputError, match=re.escape(needle)):
+            make_config(**overrides)
+
+    def test_mis_limit_takes_numpy_integers(self):
+        config = make_config(mis_exact_limit=np.int64(12), allow_approximate_mis=True)
+        assert type(config.mis_exact_limit) is int and config.mis_exact_limit == 12
 
     def test_horizon_one_runs_with_explicit_delta(self):
         result = run_experiment(make_config(horizon=1, delta=0.5))
