@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 
 from .env import BanditInstance, gaps
-from .errors import InputError, at_least
+from .errors import InputError, at_least, decimal_digits
 from .graph import DEFAULT_EXACT_LIMIT, independence_number, max_independent_set
 
 __all__ = [
@@ -52,11 +52,9 @@ def _real_horizon(horizon: int) -> float:
     try:
         return float(horizon)
     except OverflowError:
-        # counted without str(), which refuses more than 4,300 digits
-        digits = int(horizon.bit_length() * math.log10(2))  # at most the count
-        while horizon >= 10**digits:
-            digits += 1
-        raise InputError(f"horizon of {digits} digits is beyond float range") from None
+        raise InputError(
+            f"horizon of {decimal_digits(horizon)} digits is beyond float range"
+        ) from None
 
 
 def confidence_scale(horizon: int, num_arms: int, delta: float) -> float:

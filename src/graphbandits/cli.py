@@ -20,7 +20,7 @@ from .bounds import (
     report_pairs,
 )
 from .config import load_experiment_config
-from .errors import CapabilityError, ConfigError, InputError
+from .errors import CapabilityError, ConfigError, InputError, int_text
 from .graph import DEFAULT_EXACT_LIMIT, max_independent_set, parse_graph_spec
 from .lemma import exhaustive_verify
 from .phases import decompose
@@ -150,10 +150,10 @@ def _cmd_mis(args) -> int:
 
 def _cmd_verify_lemma(args) -> int:
     report = exhaustive_verify(args.alpha, args.phases)
-    try:
-        size = str(report.instances_checked)
-    except ValueError:  # past str()'s 4,300 digits; the box has (alpha + 1)^P
-        size = f"{report.alpha + 1}^{report.num_phases}"
+    # past the digits str() converts, the box's size as (alpha + 1)^P
+    size = int_text(
+        report.instances_checked, None, f"{report.alpha + 1}^{report.num_phases}"
+    )
     print(f"{size} sequences, {report.violation_count} violations")
     counts = ",".join(str(c) for c in report.tight_witness)
     threshold = alpha_log_factor(report.alpha)

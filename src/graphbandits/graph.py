@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, InputError, at_least
+from .errors import CapabilityError, InputError, at_least, int_text, integer
 
 DEFAULT_EXACT_LIMIT = 30
 
@@ -73,19 +73,22 @@ class FeedbackGraph:
 
     def induced_subgraph(self, subset) -> tuple["FeedbackGraph", tuple[int, ...]]:
         """Subgraph on ``subset`` and the sorted original ids of its vertices."""
-        keep = sorted({int(v) for v in subset})
-        for v in keep:
-            self._check_vertex(v)
-        return FeedbackGraph._from_matrix(self._adj[np.ix_(keep, keep)]), tuple(keep)
+        keep = sorted({v if type(v) is int else integer("vertex", v) for v in subset})
+        if keep and not 0 <= keep[0] <= keep[-1] < self.num_arms:
+            for v in keep:  # the smallest id out of range is named
+                self._check_vertex(v)
+        sub = self._adj.take(keep, 0).take(keep, 1)
+        return FeedbackGraph._from_matrix(sub), tuple(keep)
 
     def adjacency_matrix(self) -> np.ndarray:
         """Boolean num_arms x num_arms matrix; True on the diagonal."""
         return self._adj
 
     def _check_vertex(self, a):
-        if not isinstance(a, (int, np.integer)) or not 0 <= a < self.num_arms:
+        a = integer("vertex", a)
+        if not 0 <= a < self.num_arms:
             raise InputError(
-                f"vertex {a!r} is outside the range 0..{self.num_arms - 1}"
+                f"vertex {int_text(a)} is outside the range 0..{self.num_arms - 1}"
             )
 
     def __eq__(self, other):
@@ -112,12 +115,20 @@ class IndependentSetResult:
 
 def _neighbor_masks(graph: FeedbackGraph, order=None) -> list[int]:
     # bit b of masks[a] is set when b != a is a neighbour of a (the XOR clears
-    # the diagonal bit), vertex i standing for order[i] if given
+    # the diagonal bit), vertex i standing for order[i] if given: mask i is
+    # row order[i] of the matrix with its columns taken in that order
     adj = graph.adjacency_matrix()
-    if order is not None:
-        adj = adj.take(order, 0).take(order, 1)
-    rows = np.packbits(adj, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") ^ 1 << i for i, r in enumerate(rows)]
+    if order is None:
+        order = range(graph.num_arms)
+    else:
+        adj = adj.take(order, 1)
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    n = packed.shape[1]
+    rows = packed.tobytes()
+    return [
+        int.from_bytes(rows[v * n:v * n + n], "little") ^ 1 << i
+        for i, v in enumerate(order)
+    ]
 
 
 def _clique_cover_bound(cand: int, masks, weights, classes=None) -> int:
@@ -303,25 +314,30 @@ def _exact_set(graph: FeedbackGraph, weights) -> IndependentSetResult:
     first, both then sparsest; so equal weights share one set of masks.
     """
     k = graph.num_arms
+    if weights is None:
+        scale, iw = 1, [1] * k
+    else:
+        # Every float is a dyadic rational, so over the largest denominator
+        # the weights are integers and every subset sum below is exact.
+        ratios = [x.as_integer_ratio() for x in weights]
+        scale = max(d for _, d in ratios)
+        iw = [n * (scale // d) for n, d in ratios]
     deg = graph.adjacency_matrix().sum(axis=1).tolist()
-    w = [1.0] * k if weights is None else weights
-    # Every float is a dyadic rational, so over the largest denominator the
-    # weights are integers and every subset sum below is exact.
-    ratios = [x.as_integer_ratio() for x in w]
-    scale = max(d for _, d in ratios)
-    iw = [n * (scale // d) for n, d in ratios]
+    # sparsest first, then lowest id: the stable sorts of relabel keep this
+    # order among equal weights, so an order's key is (weight, degree, id)
+    sparse = sorted(range(k), key=deg.__getitem__)
 
-    def relabel(sign):
-        order = sorted(range(k), key=lambda v: (sign * iw[v], deg[v], v))
+    def relabel(heaviest):
+        order = sorted(sparse, key=iw.__getitem__, reverse=heaviest)
         return order, _neighbor_masks(graph, order), [iw[v] for v in order]
 
     try:
-        order, masks, lw = relabel(1)
+        order, masks, lw = relabel(False)
         target = _best_value(masks, lw, (1 << k) - 1) / scale
         # sets within a relative 1e-9 of the optimum tie it
         n, d = (target - 1e-9 * target).as_integer_ratio()
         if min(iw) < max(iw):
-            order, masks, lw = relabel(-1)
+            order, masks, lw = relabel(True)
         chosen = _lex_smallest_optimal(-(-n * scale // d), order, masks, lw)
     except OverflowError:
         raise InputError("the maximum independent-set weight overflows") from None
@@ -330,7 +346,7 @@ def _exact_set(graph: FeedbackGraph, weights) -> IndependentSetResult:
             f"exact independent-set search on {k} vertices is deeper than the "
             "interpreter's recursion limit"
         ) from None
-    value = len(chosen) if weights is None else math.fsum(w[v] for v in chosen)
+    value = len(chosen) if weights is None else math.fsum(weights[v] for v in chosen)
     return IndependentSetResult(frozenset(chosen), value, approximate=False)
 
 

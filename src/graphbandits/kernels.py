@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import workers
-from .errors import InputError, at_least
+from .errors import InputError, at_least, integer
 from .policies import check_policy
 
 __all__ = [
@@ -318,7 +318,7 @@ def run_episode_batch(
         raise InputError(f"adj must have shape (G, {k}, {k}), got {adj.shape}")
     horizon = at_least("horizon", horizon)
     policy = check_policy(policy)
-    marks = [int(m) for m in marks]
+    marks = [integer("marks", m) for m in marks]
     if marks != sorted(set(marks)) or not all(0 <= m < horizon for m in marks):
         raise InputError(
             f"marks must be increasing rounds in [0, {horizon - 1}], got {marks}"

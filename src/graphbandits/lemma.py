@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .bounds import alpha_log_factor, hardness
 from .env import BanditInstance
-from .errors import CapabilityError, InputError, at_least
+from .errors import CapabilityError, InputError, at_least, int_text
 from .graph import DEFAULT_EXACT_LIMIT
 from .phases import PhaseDecomposition, decompose, log2_alpha_ratio
 
@@ -172,8 +172,9 @@ def exhaustive_verify(alpha: int, num_phases: int) -> VerificationReport:
     work = alpha * num_phases * (8 + num_phases // 64)
     if work > MAX_CERTIFICATE_WORK:
         raise CapabilityError(
-            f"certifying alpha={alpha} over {num_phases} phases costs {work} "
-            f"steps, above the limit of {MAX_CERTIFICATE_WORK}"
+            f"certifying alpha={int_text(alpha)} over {int_text(num_phases)} "
+            f"phases costs {int_text(work)} steps, above the limit of "
+            f"{MAX_CERTIFICATE_WORK}"
         )
     scale, lean, slack = _factor_test(alpha)
     best_total, best_peak = 0, 1

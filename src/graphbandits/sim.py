@@ -32,7 +32,7 @@ import numpy as np
 from . import kernels
 from .bounds import BoundReport, bound_report, default_delta, format_value, report_pairs
 from .env import BanditInstance, gaps
-from .errors import InputError, at_least
+from .errors import InputError, at_least, integer
 from .graph import DEFAULT_EXACT_LIMIT
 from .policies import check_policy, episode_bonus
 
@@ -93,13 +93,13 @@ class ExperimentConfig:
         horizon = at_least("horizon", self.horizon)
         default_delta(horizon, self.delta)  # refuses horizon 1 without a delta
         num_runs = at_least("num_runs", self.num_runs)
-        base_seed = int(self.base_seed)
+        base_seed = integer("base_seed", self.base_seed)
         if base_seed < 0:
             raise InputError(f"seed must be nonnegative, got {base_seed}")
         if self.checkpoints is None or type(self.checkpoints) is _DefaultCheckpoints:
             checkpoints = _DefaultCheckpoints(default_checkpoints(horizon))
         else:
-            checkpoints = tuple(int(c) for c in self.checkpoints)
+            checkpoints = tuple(integer("checkpoints", c) for c in self.checkpoints)
             if not checkpoints:
                 raise InputError("checkpoints must be nonempty when given")
             if sorted(set(checkpoints)) != list(checkpoints):

@@ -483,6 +483,26 @@ class TestVerifyLemmaCommand:
         assert lines[0] == f"{alpha + 1}^{phases} sequences, 0 violations"
         assert lines[1].startswith("tightest ratio ")
 
+    @pytest.mark.parametrize(
+        "alpha, phases, want",
+        [
+            # the work count alpha * P * (8 + P // 64) has 7,999 digits,
+            # past what str() converts
+            ("2", "9" * 4000, "certifying alpha=2 over <4000 digits> phases "
+             "costs <7999 digits> steps, above the limit of 8000000"),
+            ("9" * 4000, "3", "certifying alpha=<4000 digits> over 3 phases "
+             "costs <4002 digits> steps, above the limit of 8000000"),
+            # a refusal of ordinary size reads as it always has
+            ("100000", "100000", "certifying alpha=100000 over 100000 phases "
+             "costs 15700000000000 steps, above the limit of 8000000"),
+        ],
+        ids=["phases-of-4000-digits", "alpha-of-4000-digits", "ordinary"],
+    )
+    def test_huge_box_exits_three_with_one_short_line(self, alpha, phases, want):
+        proc = run_cli_capped("verify-lemma", "--alpha", alpha, "--phases", phases)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"capability error: {want}\n"
+
     def test_over_limit_box_exits_three(self):
         proc = run_cli_capped("verify-lemma", "--alpha", "3", "--phases", "20000")
         assert proc.returncode == 3

@@ -90,6 +90,24 @@ class TestFeedbackGraph:
         assert sub.num_arms == 0
         assert relabel == ()
 
+    @pytest.mark.parametrize(
+        "subset",
+        [
+            [0.9, 2.2], [True, 3], [1, 3.0], ["1", 2],
+            [np.float64(2.0)], [np.bool_(True)],
+        ],
+    )
+    def test_induced_subgraph_refuses_non_integer_ids(self, subset):
+        # int() would truncate 0.9 to 0 and read True as 1
+        with pytest.raises(InputError, match="vertex must be an integer, got"):
+            cycle(6).induced_subgraph(subset)
+
+    def test_induced_subgraph_names_the_smallest_id_out_of_range(self):
+        g = cycle(6)
+        for subset, named in [([7, 9, -2, 1, -1], -2), ([9, 1, 7, 6], 6), ([9], 9)]:
+            with pytest.raises(InputError, match=f"^vertex {named} is outside"):
+                g.induced_subgraph(subset)
+
     def test_adjacency_matrix(self):
         g = cycle(4)
         m = g.adjacency_matrix()
@@ -819,3 +837,42 @@ class TestMatrixStorage:
                 assert sorted(got.vertices) == chosen, label
                 assert repr(got.value) == repr(value), label
                 assert got.approximate
+
+
+@st.composite
+def _graph_and_order(draw):
+    k = draw(st.integers(0, 20))
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    edges = [pair for i, pair in enumerate(pairs) if bits >> i & 1]
+    return k, edges, draw(st.permutations(range(k)))
+
+
+class TestRelabelledViews:
+    """Induced subgraphs and relabelled bitmasks against by-hand references."""
+
+    @given(
+        _graph_and_order(),
+        st.lists(st.integers(0, 19), max_size=30),
+        st.sampled_from([list, tuple, set, np.array]),
+    )
+    def test_induced_subgraph_is_the_ix_slice(self, case, ids, container):
+        k, edges, _ = case
+        graph = FeedbackGraph(k, edges)
+        ids = [v % k for v in ids] if k else []  # unsorted, with duplicates
+        sub, relabel = graph.induced_subgraph(container(ids))
+        keep = sorted(set(ids))
+        assert relabel == tuple(keep)
+        assert all(type(v) is int for v in relabel)  # numpy ids come back as int
+        want = graph.adjacency_matrix()[np.ix_(keep, keep)]
+        assert np.array_equal(sub.adjacency_matrix(), want)
+
+    @given(_graph_and_order())
+    def test_neighbor_masks_under_an_order_match_bit_loop(self, case):
+        k, edges, order = case
+        # vertex order[i] becomes vertex i
+        new = {v: i for i, v in enumerate(order)}
+        sets = neighbor_sets(k, edges)
+        relabelled = [frozenset(new[u] for u in sets[v]) for v in order]
+        got = _neighbor_masks(FeedbackGraph(k, edges), order)
+        assert got == neighbor_bits(relabelled)

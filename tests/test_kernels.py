@@ -211,6 +211,17 @@ class TestBatchAgainstByHand:
         gen = np.random.default_rng(0)
         with pytest.raises(InputError, match="adj"):
             run_episode_arrays("ucb-n", means, cycle(4).adjacency_matrix(), 10, gen)
+        # int() would run 10 rounds, 2 runs and mark round 1
+        for change, needle in [
+            ({"horizon": 10.5}, "horizon must be an integer"),
+            ({"num_runs": 2.5}, "num_runs must be an integer"),
+            ({"num_runs": True}, "num_runs must be an integer"),
+            ({"marks": [1.5]}, "marks must be an integer"),
+        ]:
+            call = {"means": means, "adj": adj[None], "horizon": 10, "num_runs": 2}
+            call.update(change)
+            with pytest.raises(InputError, match=needle):
+                run_episode_batch("ucb-n", stream=episode_stream, **call)
 
 
 def _force_split(monkeypatch, cpus):

@@ -113,6 +113,35 @@ class TestExperimentConfig:
         with pytest.raises(InputError, match=re.escape(needle)):
             make_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, needle",
+        [
+            # int() would run 10 rounds, 2 runs, seed 4 and seed 1
+            (dict(horizon=10.5), "horizon must be an integer, got 10.5"),
+            (dict(horizon=True), "horizon must be an integer, got True"),
+            (dict(horizon="256"), "horizon must be an integer, got '256'"),
+            (dict(num_runs=2.5), "num_runs must be an integer, got 2.5"),
+            (dict(base_seed=4.7), "base_seed must be an integer, got 4.7"),
+            (dict(base_seed=True), "base_seed must be an integer, got True"),
+            (dict(checkpoints=(1.5, 3)), "checkpoints must be an integer, got 1.5"),
+            (dict(checkpoints=(1, np.float64(3.0))), "checkpoints must be an integer"),
+        ],
+    )
+    def test_integer_fields_refuse_non_integers(self, overrides, needle):
+        with pytest.raises(InputError, match=re.escape(needle)):
+            make_config(**overrides)
+
+    def test_integer_fields_take_numpy_integers(self):
+        config = make_config(
+            horizon=np.int64(64), num_runs=np.int32(2), base_seed=np.uint8(3),
+            checkpoints=(np.int64(8), 64),
+        )
+        fields = (
+            config.horizon, config.num_runs, config.base_seed, *config.checkpoints
+        )
+        assert fields == (64, 2, 3, 8, 64)
+        assert all(type(v) is int for v in fields)
+
     def test_mis_limit_takes_numpy_integers(self):
         config = make_config(mis_exact_limit=np.int64(12), allow_approximate_mis=True)
         assert type(config.mis_exact_limit) is int and config.mis_exact_limit == 12
