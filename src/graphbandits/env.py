@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, within
 from .graph import FeedbackGraph
 
 BERNOULLI = "bernoulli"
@@ -34,8 +34,7 @@ class BanditInstance:
         means = np.array(self.means, dtype=np.float64)
         if means.ndim != 1 or means.size == 0:
             raise InputError("means must be a nonempty one-dimensional vector")
-        if np.any(~np.isfinite(means)) or np.any(means < 0.0) or np.any(means > 1.0):
-            raise InputError("means must lie in [0, 1]")
+        within("means", means, 0.0, 1.0)
         if not isinstance(self.graph, FeedbackGraph):
             raise InputError("graph must be a FeedbackGraph")
         if self.graph.num_arms != means.size:

@@ -3,6 +3,8 @@ formatting their messages use."""
 import math
 import operator
 
+import numpy as np
+
 
 class GraphBanditsError(Exception):
     """Base class for errors raised by this package."""
@@ -37,6 +39,22 @@ def at_least(name: str, value, low: int = 1) -> int:
     if value < low:
         raise InputError(f"{name} must be at least {low}, got {int_text(value)}")
     return value
+
+
+def within(name: str, values, low: float, high: float = math.inf) -> np.ndarray:
+    """``values`` (a number or an array) as float64, refused with an
+    InputError unless every entry is finite and in [low, high]."""
+    try:
+        array = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be numeric, got {type(values).__name__}") from None
+    bad = ~(np.isfinite(array) & (array >= low) & (array <= high))
+    if bad.any():
+        rule = f"lie in [{low:g}, {high:g}]"
+        if high == math.inf:
+            rule = f"be finite and at least {low:g}"
+        raise InputError(f"{name} must {rule}, got {array[bad].flat[0]}")
+    return array
 
 
 def decimal_digits(value: int) -> int:

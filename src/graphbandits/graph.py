@@ -38,7 +38,7 @@ class FeedbackGraph:
         num_arms = _require_arms(num_arms, 0)
         adj = np.eye(num_arms, dtype=bool)
         for a, b in edges:
-            a, b = int(a), int(b)
+            a, b = integer("vertex", a), integer("vertex", b)
             if not (0 <= a < num_arms and 0 <= b < num_arms):
                 raise InputError(
                     f"edge ({a}, {b}) is outside the vertex range 0..{num_arms - 1}"
@@ -390,7 +390,7 @@ def star(num_arms: int) -> FeedbackGraph:
 
 def disjoint_cliques(sizes) -> FeedbackGraph:
     """Disjoint cliques of the given sizes, labeled block by block."""
-    sizes = [int(s) for s in sizes]
+    sizes = [integer("clique size", s) for s in sizes]
     if not sizes:
         raise InputError("need at least one clique size")
     for s in sizes:
@@ -407,7 +407,7 @@ def erdos_renyi(num_arms: int, p: float, seed: int) -> FeedbackGraph:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability must be in [0, 1], got {p}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(at_least("seed", seed, 0))
     # one draw per pair a < b in row-major order, without 2 GiB of index arrays
     adj = np.eye(k, dtype=bool)
     for a in range(k - 1):

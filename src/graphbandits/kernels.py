@@ -8,26 +8,28 @@ policy objects in ``policies`` follow the same protocol, which keeps the
 batched loops and the step-by-step path on identical trajectories.
 
 The UCB policies draw no other randomness, so a run takes its uniforms in
-``(n, K)`` blocks, which use the same stream as n calls of ``random(K)``,
-and every graph of the batch reads the same block: matched seeds mean
-matched rewards. The last block stops at the horizon, so a generator ends
-where the one-round-at-a-time loop would leave it. Thompson sampling keeps
-the per-round interleave of ``random(K)`` and the Beta draw on each
-(graph, run) generator; only its argmax and its updates are batched.
+``(n, K)`` blocks, the same stream as n calls of ``random(K)``, and every
+graph of the batch reads the same block: matched seeds mean matched
+rewards. The last block stops at the horizon, where the one-round loop
+would leave the generator. A round forms the index (two divides, a square
+root, an add), writes its argmax into the block's arms and adds the
+pulled arms' adjacency rows (ucb1: the pulled arms) to the counts and,
+masked by the rewards, to the sums.
 
-For an arm with a > 1 or b > 1, ``Generator.beta`` draws
-``standard_gamma(a)``, then ``standard_gamma(b)``, and returns
-Ga / (Ga + Gb). The loop therefore keeps the Beta parameters interleaved
-per arm, draws an episode's round with one ``standard_gamma`` call on them,
-and forms the whole batch's samples with one add and one divide: the same
-bits, and the generator left where ``beta`` would leave it, with one
-argument check per call instead of two and a broadcast. An arm never
-observed (a = b = 1) is drawn by Johnk's algorithm instead, so an episode
-that still has one keeps ``beta`` for that round.
+Thompson sampling keeps the per-round interleave of ``random(K)`` and the
+Beta draw on each (graph, run) generator. For an arm with a > 1 or b > 1,
+``Generator.beta`` draws ``standard_gamma(a)``, then ``standard_gamma(b)``,
+and returns Ga / (Ga + Gb); with (a, b) interleaved per arm, one
+``standard_gamma`` call draws an episode's round, the same bits with the
+generator left where ``beta`` leaves it. An episode with an arm never
+observed (a = b = 1: Johnk's algorithm) calls ``beta`` until it has none.
+Eight batched calls finish the round: Ga / (Ga + Gb), its argmax into the
+block's arms, the pulled rows, the (success, failure) pairs and one add of
+them to the interleaved (a, b).
 
-Each episode still makes two generator calls per round, about 14 us at
-K = 10 and 22 us at K = 100, that batching cannot share, so a large
-Thompson-sampling batch splits its runs across the usable CPUs: this
+A Thompson-sampling episode round costs about 14 us at K = 10 and 21 us at
+K = 100, of which the two generator calls, 7 and 12 us, cannot be shared
+by batching, so a large batch splits its runs across the usable CPUs: this
 process runs the first share and a forked child (``workers``) each other
 one, and the shares are joined along the run axis, bit-identical to one
 process.
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import workers
-from .errors import InputError, at_least, integer
+from .errors import InputError, at_least, integer, within
 from .policies import check_policy
 
 __all__ = [
@@ -63,12 +65,12 @@ _BLOCK_DOUBLES = 1 << 15
 
 # A Thompson-sampling batch is split across CPUs only above this many
 # episode rounds (graphs x runs x horizon). Forking a worker and reading its
-# answer costs about 4-5 ms, and each episode round handed to it saves
-# about 12-14 us at K = 10 (2 shared vCPUs, Python 3.11, numpy 2.4, median
-# of 15): split in two, a T = 10, R = 2 batch took 5.2-5.6 ms against
-# 0.8-0.9 ms in one process, T = 256 14-17 ms against 13-14 ms, T = 1024
-# 42-46 ms against 49 ms, and T = 4096 149-155 ms against 199-201 ms. The
-# floor stays well above that break-even, as the other CPUs may be busy.
+# answer costs about 4-5 ms, and each episode round handed to it saves up to
+# 14 us at K = 10 (2 shared vCPUs, Python 3.11, numpy 2.4, median of 16,
+# three runs): split in two, a T = 10, R = 2 batch took 4.3-5.8 ms against
+# 0.8-0.9 ms in one process, T = 256 10-21 ms against 7-10 ms, T = 1024
+# 29-41 ms against 27-38 ms, and T = 4096 107-114 ms against 127-156 ms.
+# The floor stays well above that break-even, as the other CPUs may be busy.
 _SPLIT_FLOOR = 1 << 13
 
 
@@ -132,29 +134,21 @@ def _blocks(horizon, block):
 
 
 def _ucb_batch(means, adj, horizon, bonus, neighbor_updates, gens, regret):
-    num_graphs, num_arms = adj.shape[0], adj.shape[1]
+    num_graphs, num_arms = adj.shape[:2]
     num_runs = len(gens)
     shape = (num_graphs, num_runs, num_arms)
-    counts = np.zeros(shape, dtype=np.float64)
-    sums = np.zeros(shape, dtype=np.float64)
-    index = np.empty(shape, dtype=np.float64)
-    floor = np.empty(shape, dtype=np.float64)
-    width = np.empty(shape, dtype=np.float64)
+    counts, sums = np.zeros((2, *shape))
+    index, floor, width = np.empty((3, *shape))
     unseen = np.empty(shape, dtype=np.bool_)
-    rows = adj.reshape(num_graphs * num_arms, num_arms)
-    # offsets of graph g's rows in the stacked adjacency, and of episode
-    # (g, run)'s arms in the flat state arrays
-    row_base = (np.arange(num_graphs, dtype=np.int64) * num_arms)[:, None]
-    state_base = np.arange(num_graphs * num_runs, dtype=np.int64).reshape(
-        num_graphs, num_runs
-    ) * num_arms
-    run_index = np.arange(num_runs, dtype=np.int64)
-    flat_counts = counts.reshape(-1)
-    flat_sums = sums.reshape(-1)
+    pulled_rows = _row_reader(adj)
+    # offset of episode (g, run)'s arms in the flat state arrays
+    state_base = np.arange(0, counts.size, num_arms).reshape(shape[:2])
+    flat_counts, flat_sums = counts.reshape(-1), sums.reshape(-1)
     block = regret.arms.shape[0]
     uniforms = np.empty((num_runs, block, num_arms), dtype=np.float64)
     # wins[i, run] is run's reward vector in round i of the block
     wins = np.empty((block, num_runs, num_arms), dtype=np.bool_)
+    flat_wins = wins.reshape(block, -1)
     arms = regret.arms
     for start, n in _blocks(horizon, block):
         for run, gen in enumerate(gens):
@@ -172,73 +166,76 @@ def _ucb_batch(means, adj, horizon, bonus, neighbor_updates, gens, regret):
             if early:
                 np.equal(counts, 0.0, out=unseen)
                 index[unseen] = np.inf
-            arm = index.argmax(axis=2)
+            arm = index.argmax(axis=2, out=arms[i])
             if neighbor_updates:
-                observed = rows.take(row_base + arm, axis=0)
+                observed = pulled_rows(arm)
                 counts += observed
                 observed &= wins[i]
                 sums += observed
             else:
                 at = state_base + arm
                 flat_counts[at] += 1.0
-                flat_sums[at] += wins[i][run_index, arm]
-            arms[i] = arm
+                # the reward is wins[i]'s flat entry ``at`` mod (runs x K)
+                flat_sums[at] += flat_wins[i].take(at, mode="wrap")
         regret.fold(start, n)
     return counts, sums
 
 
+def _row_reader(adj):
+    """Maps the arms pulled, shape (G, runs), to their rows of ``adj``, a
+    new (G, runs, K) array; one graph's arms are already its row numbers."""
+    num_graphs, num_arms = adj.shape[:2]
+    rows = adj.reshape(num_graphs * num_arms, num_arms)
+    if num_graphs == 1:
+        return lambda arm: rows.take(arm, axis=0)
+    row_base = (np.arange(num_graphs) * num_arms)[:, None]
+    return lambda arm: rows.take(row_base + arm, axis=0)
+
+
 def _ts_batch(means, adj, horizon, gens, regret):
-    num_graphs, num_arms = adj.shape[0], adj.shape[1]
+    num_graphs, num_arms = adj.shape[:2]
     num_runs = len(gens) // num_graphs
     shape = (num_graphs, num_runs, num_arms)
     # Beta parameters, successes + 1 and failures + 1 (exact in float64),
-    # interleaved per arm as (a, b): the order in which ``Generator.beta``
-    # draws its two gammas for an arm with a > 1 or b > 1
-    ab = np.ones((*shape, 2), dtype=np.float64)
+    # interleaved per arm as (a, b), and the gamma draws, ones until drawn:
+    # rows of an episode still on ``beta`` divide 1 by 2, never 0 by 0
+    ab, gammas = np.ones((2, *shape, 2))
     a, b = ab[..., 0], ab[..., 1]
-    # the gamma draws, ones until drawn: rows of an episode still on
-    # ``beta`` then divide 1 by 2, never 0 by 0
-    gammas = np.ones_like(ab)
     gamma_a, gamma_b = gammas[..., 0], gammas[..., 1]
-    u = np.empty(shape, dtype=np.float64)
-    theta = np.empty(shape, dtype=np.float64)
-    rows = adj.reshape(num_graphs * num_arms, num_arms)
-    row_base = (np.arange(num_graphs, dtype=np.int64) * num_arms)[:, None]
-    flat_u = u.reshape(-1, num_arms)
+    # a round's (success, failure) per arm, added to ``ab`` in one pass
+    outcome = np.empty_like(ab)
+    success, failure = outcome[..., 0], outcome[..., 1]
+    u, win, theta = np.empty((3, *shape))
+    pulled_rows = _row_reader(adj)
+    flat_u, flat_theta = u.reshape(-1, num_arms), theta.reshape(-1, num_arms)
     flat_ab = ab.reshape(-1, 2 * num_arms)
-    flat_gammas = gammas.reshape(-1, 2 * num_arms)
-    flat_theta = theta.reshape(-1, num_arms)
-    # Episodes with an arm never observed (a = b = 1), for which ``beta``
-    # uses Johnk's algorithm instead of two gammas; counts only grow, so an
-    # episode that leaves this set never comes back.
-    fresh = set(range(len(gens)))
-    draws = list(zip(gens, flat_u, flat_ab, flat_gammas))
+    draws = [
+        (gen.random, gen.standard_gamma, *bufs)
+        for gen, *bufs in zip(gens, flat_u, flat_ab, gammas.reshape(flat_ab.shape))
+    ]
+    # Episodes still on ``beta``, and the others; counts only grow, so an
+    # episode that leaves ``fresh`` never comes back.
+    fresh, plain = list(range(len(gens))), []
     arms = regret.arms
     for start, n in _blocks(horizon, arms.shape[0]):
         for i in range(n):
-            drawn = []
-            for e, (gen, u_row, ab_row, g_row) in enumerate(draws):
-                gen.random(out=u_row)
-                if e in fresh:
-                    drawn.append((e, gen.beta(ab_row[0::2], ab_row[1::2])))
-                else:
-                    gen.standard_gamma(ab_row, out=g_row)
+            for random, gamma, u_row, ab_row, g_row in plain:
+                random(out=u_row)
+                gamma(ab_row, out=g_row)
             np.add(gamma_a, gamma_b, out=theta)
             np.divide(gamma_a, theta, out=theta)
-            for e, row in drawn:
-                flat_theta[e] = row
-            arm = theta.argmax(axis=2)
-            observed = rows.take(row_base + arm, axis=0)
-            win = u < means
-            lose = ~win
-            win &= observed
-            lose &= observed
-            a += win
-            b += lose
-            arms[i] = arm
+            for e in fresh:
+                gens[e].random(out=flat_u[e])
+                flat_theta[e] = gens[e].beta(flat_ab[e, 0::2], flat_ab[e, 1::2])
+            observed = pulled_rows(theta.argmax(axis=2, out=arms[i]))
+            np.less(u, means, out=win)
+            np.multiply(win, observed, out=success)
+            np.subtract(observed, success, out=failure)
+            ab += outcome
             if fresh:
                 unseen = (a + b == 2.0).any(axis=2).reshape(-1)
-                fresh = set(np.flatnonzero(unseen).tolist())
+                fresh = np.flatnonzero(unseen).tolist()
+                plain = [draws[e] for e in np.flatnonzero(~unseen)]
         regret.fold(start, n)
     return a - 1.0, b - 1.0
 
@@ -300,7 +297,8 @@ def run_episode_batch(
     graphs; ``ts-n`` calls it once per (graph, run). Regret adds up
     ``gaps`` of the pulled arms (zero when not given) and is recorded after
     each round listed in ``marks`` (0-based, increasing). ``bonus`` is the
-    squared exploration width times n and is ignored by ``ts-n``.
+    squared exploration width times n and is ignored by ``ts-n``. Means
+    outside [0, 1], and a bonus or gaps negative or not finite, are refused.
 
     A large ``ts-n`` batch that keeps no pulls splits its runs into
     contiguous shares, one per usable CPU: this process runs the first and
@@ -309,7 +307,7 @@ def run_episode_batch(
     child's runs, and a generator it hands out there advances only in that
     child: one the caller keeps is not moved by those runs.
     """
-    means = np.ascontiguousarray(means, dtype=np.float64)
+    means = np.ascontiguousarray(within("means", means, 0.0, 1.0))
     adj = np.ascontiguousarray(adj, dtype=np.bool_)
     k = means.shape[0] if means.ndim == 1 else -1
     if k < 1:
@@ -324,13 +322,14 @@ def run_episode_batch(
             f"marks must be increasing rounds in [0, {horizon - 1}], got {marks}"
         )
     num_runs = at_least("num_runs", num_runs)
-    gaps = np.zeros(k) if gaps is None else np.asarray(gaps, dtype=np.float64)
+    bonus = float(within("bonus", bonus, 0.0))
+    gaps = np.zeros(k) if gaps is None else within("gaps", gaps, 0.0)
     if gaps.shape != (k,):
         raise InputError(f"gaps must have shape ({k},), got {gaps.shape}")
 
     def share(runs):
         return lambda: _run_share(
-            policy, means, adj, horizon, stream, runs, float(bonus), gaps,
+            policy, means, adj, horizon, stream, runs, bonus, gaps,
             marks, keep_pulls,
         )
 
@@ -361,21 +360,13 @@ def run_episode_arrays(
 ):
     """Run one episode and return (pulls, per-arm state A, per-arm state B).
 
-    For the UCB policies the state arrays are observation counts and reward
-    sums; for Thompson sampling they are success and failure counts. ``bonus``
-    is the squared exploration width times n and is ignored by ``ts-n``.
-    This is the one-graph, one-run call of ``run_episode_batch``; it leaves
-    ``gen`` where ``horizon`` rounds of the draw protocol leave it.
+    This is the one-graph, one-run call of ``run_episode_batch``, whose
+    ``EpisodeBatch`` describes the state arrays; it leaves ``gen`` where
+    ``horizon`` rounds of the draw protocol leave it.
     """
     batch = run_episode_batch(
-        policy,
-        means,
-        np.asarray(adj)[None],
-        horizon,
-        lambda run: gen,
-        1,
-        bonus=bonus,
-        keep_pulls=True,
+        policy, means, np.asarray(adj)[None], horizon, lambda run: gen, 1,
+        bonus=bonus, keep_pulls=True,
     )
     return batch.pulls[:, 0, 0], batch.state_a[0, 0], batch.state_b[0, 0]
 

@@ -102,6 +102,18 @@ class TestFeedbackGraph:
         with pytest.raises(InputError, match="vertex must be an integer, got"):
             cycle(6).induced_subgraph(subset)
 
+    @pytest.mark.parametrize(
+        "edge", [(0.5, 2.9), (True, 2), (0, 2.0), ("1", 2), (np.float64(1.0), 2)]
+    )
+    def test_edges_refuse_non_integer_ends(self, edge):
+        # int() would join 0 and 2 for (0.5, 2.9) and read True as 1
+        with pytest.raises(InputError, match="vertex must be an integer, got"):
+            FeedbackGraph(3, [edge])
+
+    def test_edges_take_numpy_integers(self):
+        edges = [(np.int64(0), np.uint8(2))]
+        assert FeedbackGraph(3, edges).edges() == [(0, 2)]
+
     def test_induced_subgraph_names_the_smallest_id_out_of_range(self):
         g = cycle(6)
         for subset, named in [([7, 9, -2, 1, -1], -2), ([9, 1, 7, 6], 6), ([9], 9)]:
@@ -644,6 +656,24 @@ class TestGenerators:
         c = erdos_renyi(10, 0.4, seed=6)
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize("sizes", [[2.5, True], [2, 2.0], [True], ["2"]])
+    def test_clique_sizes_refuse_non_integers(self, sizes):
+        # int() would build 3 arms from [2.5, True]
+        with pytest.raises(InputError, match="clique size must be an integer, got"):
+            disjoint_cliques(sizes)
+
+    @pytest.mark.parametrize("seed", [1.7, True, 2.0, "3"])
+    def test_erdos_renyi_seed_refuses_non_integers(self, seed):
+        # int() would make 1.7 the same graph as seed 1
+        with pytest.raises(InputError, match="seed must be an integer, got"):
+            erdos_renyi(6, 0.3, seed)
+
+    def test_erdos_renyi_seed_domain(self):
+        with pytest.raises(InputError, match="seed must be at least 0, got -1"):
+            erdos_renyi(6, 0.3, -1)
+        assert erdos_renyi(6, 0.3, np.uint32(4)) == erdos_renyi(6, 0.3, 4)
+        assert disjoint_cliques(np.array([2, 3])) == disjoint_cliques((2, 3))
 
     def test_erdos_renyi_probability_range(self):
         with pytest.raises(InputError):

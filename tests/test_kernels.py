@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import graphbandits
 from graphbandits import (
     BanditInstance,
     ExperimentConfig,
+    FeedbackGraph,
     InputError,
     complete,
     cycle,
@@ -39,7 +41,7 @@ from graphbandits.kernels import (
     scan_sequences_range,
 )
 
-from oracles import episode_by_hand
+from oracles import episode_by_hand, random_edges
 
 
 class TestEpisodeAgainstByHand:
@@ -222,6 +224,119 @@ class TestBatchAgainstByHand:
             call.update(change)
             with pytest.raises(InputError, match=needle):
                 run_episode_batch("ucb-n", stream=episode_stream, **call)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize(
+        "change, needle",
+        [
+            # a negative bonus made every UCB index NaN and pulled arm 0
+            ({"bonus": -1.0}, "bonus must be finite and at least 0, got -1.0"),
+            ({"bonus": float("nan")}, "bonus must be finite and at least 0, got nan"),
+            ({"bonus": float("inf")}, "bonus must be finite and at least 0, got inf"),
+            ({"bonus": "x"}, "bonus must be numeric, got str"),
+            # a negative gap made the regret negative
+            ({"gaps": [0.2, -1.0, 0.0]}, "gaps must be finite and at least 0, got -1.0"),
+            ({"gaps": [0.2, float("nan"), 0.0]}, "gaps must be finite and at least 0, got nan"),
+            ({"means": [0.5, float("nan"), 0.3]}, r"means must lie in \[0, 1\], got nan"),
+            ({"means": [0.5, 1.5, 0.3]}, r"means must lie in \[0, 1\], got 1.5"),
+            ({"means": [0.5, -0.1, 0.3]}, r"means must lie in \[0, 1\], got -0.1"),
+        ],
+    )
+    def test_bad_numbers_are_refused(self, policy, change, needle):
+        call = {
+            "means": [0.5, 0.4, 0.3],
+            "adj": cycle(3).adjacency_matrix()[None],
+            "horizon": 10,
+            "num_runs": 2,
+            "bonus": 1.0,
+        }
+        call.update(change)
+        with pytest.raises(InputError, match=f"^{needle}$"):
+            run_episode_batch(policy, stream=lambda run: episode_stream(0, run), **call)
+
+    def test_edge_numbers_are_taken(self):
+        # means at 0 and 1, a zero bonus and zero gaps are in the domain
+        batch = run_episode_batch(
+            "ucb-n", [0.0, 1.0, 0.5], cycle(3).adjacency_matrix()[None], 10,
+            lambda run: episode_stream(0, run), 2, bonus=np.float32(0.0),
+            gaps=np.zeros(3),
+        )
+        assert batch.final.tolist() == [[0.0, 0.0]]
+
+
+class TestOneGraphPath:
+    """A one-graph batch reads the pulled arms' adjacency rows directly, a
+    batch of G graphs through each graph's row offset; both give the bits
+    of G one-graph batches, and hold no copy of the adjacency."""
+
+    @given(
+        st.sampled_from(POLICIES),
+        st.integers(1, 8),
+        st.integers(2, 3),
+        st.integers(1, 3),
+        st.integers(1, 40),
+        st.integers(1, 64),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_graphs_of_a_batch_equal_batches_of_one_graph(
+        self, policy, k, num_graphs, num_runs, horizon, block_doubles, seed
+    ):
+        rng = np.random.default_rng(seed)
+        graphs = [
+            FeedbackGraph(k, random_edges(rng, k, rng.uniform()))
+            for _ in range(num_graphs)
+        ]
+        inst = BanditInstance(rng.uniform(size=k), graphs[0])
+        bonus = 0.0 if policy == "ts-n" else exploration_bonus(k, horizon, DELTA)
+
+        def batch(part):
+            return run_episode_batch(
+                policy,
+                inst.means,
+                np.stack([g.adjacency_matrix() for g in part]),
+                horizon,
+                lambda run: episode_stream(seed, run),
+                num_runs,
+                bonus=bonus,
+                gaps=gaps(inst).gaps,
+                marks=range(horizon),
+                keep_pulls=True,
+            )
+
+        # blocks of a few rounds, so that horizons cross block boundaries
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_BLOCK_DOUBLES", block_doubles)
+            whole = batch(graphs)
+            ones = [batch([g]) for g in graphs]
+        for name, axis in [
+            ("marked", 0), ("final", 0), ("state_a", 0), ("state_b", 0), ("pulls", 1)
+        ]:
+            want = np.concatenate([getattr(one, name) for one in ones], axis=axis)
+            assert getattr(whole, name).tobytes() == want.tobytes(), name
+        pulls, regret, _ = episode_by_hand(
+            BanditInstance(inst.means, graphs[-1]), policy, horizon,
+            episode_stream(seed, num_runs - 1),
+            delta=None if policy == "ts-n" else DELTA,
+        )
+        assert np.array_equal(whole.pulls[:, -1, -1], pulls)
+        assert whole.marked[-1, -1].tolist() == regret.tolist()
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_loops_hold_no_copy_of_the_adjacency(self, policy):
+        # a float copy of the K x K bool adjacency would take 8 K^2 bytes
+        k = 1024
+        adj = cycle(k).adjacency_matrix()[None]
+        means = np.linspace(0.05, 0.95, k)
+        tracemalloc.start()
+        try:
+            run_episode_batch(
+                policy, means, adj, 64, lambda run: episode_stream(1, run), 1,
+                bonus=3.0,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * k * k
 
 
 def _force_split(monkeypatch, cpus):
