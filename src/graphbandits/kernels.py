@@ -7,14 +7,24 @@ and, for Thompson sampling, one Beta sample per arm, in arm order; the
 policy objects in ``policies`` follow the same protocol, which keeps the
 batched loops and the step-by-step path on identical trajectories.
 
+Every elementwise step of a round reads the state through flat 1-D views
+(an interleaved pair as its ``[0::2]`` and ``[1::2]`` slices), so numpy
+runs it as one inner loop, about 0.5 us a call, where a strided or
+broadcast 3-D operand makes it build an iterator first (1-2 us); only the
+adds of bool flags into float state still pay for a cast, about 1 us.
+Only the argmax over the arms reads the 3-D view. The pulled arms'
+adjacency rows are taken into one bool buffer.
+
 The UCB policies draw no other randomness, so a run takes its uniforms in
 ``(n, K)`` blocks, the same stream as n calls of ``random(K)``, and every
 graph of the batch reads the same block: matched seeds mean matched
-rewards. The last block stops at the horizon, where the one-round loop
-would leave the generator. A round forms the index (two divides, a square
-root, an add), writes its argmax into the block's arms and adds the
+rewards. The block's reward flags are repeated per graph, so that a round
+reads them flat. The last block stops at the horizon, where the one-round
+loop would leave the generator. A round forms the index (two divides, a
+square root, an add), writes its argmax into the block's arms and adds the
 pulled arms' adjacency rows (ucb1: the pulled arms) to the counts and,
-masked by the rewards, to the sums.
+masked by the rewards, to the sums. ucb1 ignores the graph, so its batch
+runs one graph and repeats the result for the others.
 
 Thompson sampling keeps the per-round interleave of ``random(K)`` and the
 Beta draw on each (graph, run) generator. For an arm with a > 1 or b > 1,
@@ -23,16 +33,19 @@ and returns Ga / (Ga + Gb); with (a, b) interleaved per arm, one
 ``standard_gamma`` call draws an episode's round, the same bits with the
 generator left where ``beta`` leaves it. An episode with an arm never
 observed (a = b = 1: Johnk's algorithm) calls ``beta`` until it has none.
-Eight batched calls finish the round: Ga / (Ga + Gb), its argmax into the
-block's arms, the pulled rows, the (success, failure) pairs and one add of
+Eight batched calls finish the round: Ga / (Ga + Gb) (an add, a divide),
+its argmax into the block's arms, the pulled rows, the rewards against the
+means tiled once per batch, the success and failure flags, and one add of
 them to the interleaved (a, b).
 
-A Thompson-sampling episode round costs about 14 us at K = 10 and 21 us at
-K = 100, of which the two generator calls, 7 and 12 us, cannot be shared
-by batching, so a large batch splits its runs across the usable CPUs: this
-process runs the first share and a forked child (``workers``) each other
-one, and the shares are joined along the run axis, bit-identical to one
-process.
+A round of one episode costs about 4.6 us (ucb-n) and 5.9 us (ucb1) at
+K = 10, and 5.1 and 6.6 us at K = 100 (2 shared vCPUs, numpy 2.4, best of
+several runs). A Thompson-sampling round costs about 13 us at K = 10 and
+20 us at K = 100, of which the two generator calls, 8 and 16 us, cannot
+be shared by batching, so a large batch splits its runs across the usable
+CPUs: this process runs the first share and a forked child (``workers``)
+each other one, and the shares are joined along the run axis,
+bit-identical to one process.
 
 The sequence scan enumerates a box of band sequences by brute force. The
 package itself does not call it; the tests compare ``lemma.exhaustive_verify``,
@@ -60,16 +73,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # episode loops
 
-# Uniform doubles held per block of rounds, summed over the runs of a batch.
+# Reward flags held per block of rounds (rounds x graphs x runs x arms); the
+# block's uniforms, one per round, run and arm, are at most as many doubles.
 _BLOCK_DOUBLES = 1 << 15
 
 # A Thompson-sampling batch is split across CPUs only above this many
 # episode rounds (graphs x runs x horizon). Forking a worker and reading its
 # answer costs about 4-5 ms, and each episode round handed to it saves up to
-# 14 us at K = 10 (2 shared vCPUs, Python 3.11, numpy 2.4, median of 16,
-# three runs): split in two, a T = 10, R = 2 batch took 4.3-5.8 ms against
-# 0.8-0.9 ms in one process, T = 256 10-21 ms against 7-10 ms, T = 1024
-# 29-41 ms against 27-38 ms, and T = 4096 107-114 ms against 127-156 ms.
+# 13 us at K = 10 (2 shared vCPUs, Python 3.11, numpy 2.4, median of 16,
+# three runs): split in two, a T = 10, R = 2 batch took 5.1-6.0 ms against
+# 0.8-1.0 ms in one process, T = 256 11-18 ms against 10 ms, T = 1024
+# 30-51 ms against 36-39 ms, and T = 4096 101-104 ms against 140-158 ms.
 # The floor stays well above that break-even, as the other CPUs may be busy.
 _SPLIT_FLOOR = 1 << 13
 
@@ -137,76 +151,89 @@ def _ucb_batch(means, adj, horizon, bonus, neighbor_updates, gens, regret):
     num_graphs, num_arms = adj.shape[:2]
     num_runs = len(gens)
     shape = (num_graphs, num_runs, num_arms)
-    counts, sums = np.zeros((2, *shape))
-    index, floor, width = np.empty((3, *shape))
-    unseen = np.empty(shape, dtype=np.bool_)
-    pulled_rows = _row_reader(adj)
-    # offset of episode (g, run)'s arms in the flat state arrays
-    state_base = np.arange(0, counts.size, num_arms).reshape(shape[:2])
-    flat_counts, flat_sums = counts.reshape(-1), sums.reshape(-1)
+    size = num_graphs * num_runs * num_arms
+    counts, sums, index, floor, width = np.zeros((5, size))
+    unseen, observed = np.empty((2, size), dtype=np.bool_)
+    # 0-d operands: a Python number is converted again on every call
+    one, zero, bonus = np.array(1.0), np.array(0.0), np.array(bonus)
+    take_rows = _row_taker(adj, num_runs, observed)
+    # offset of episode (g, run)'s arms in the state arrays
+    state_base = np.arange(0, size, num_arms).reshape(shape[:2])
+    at = np.empty_like(state_base)
+    index_3d = index.reshape(shape)
     block = regret.arms.shape[0]
     uniforms = np.empty((num_runs, block, num_arms), dtype=np.float64)
-    # wins[i, run] is run's reward vector in round i of the block
-    wins = np.empty((block, num_runs, num_arms), dtype=np.bool_)
+    # wins[i] is round i's reward vectors, one per run, repeated per graph
+    wins = np.empty((block, *shape), dtype=np.bool_)
     flat_wins = wins.reshape(block, -1)
     arms = regret.arms
     for start, n in _blocks(horizon, block):
         for run, gen in enumerate(gens):
             gen.random(out=uniforms[run, :n])
-        np.less(uniforms[:, :n].transpose(1, 0, 2), means, out=wins[:n])
+        np.less(uniforms[:, None, :n].transpose(2, 1, 0, 3), means, out=wins[:n])
         for i in range(n):
             # each of the first K rounds pulls an arm nobody has seen yet,
             # if one is left, so from round K on every count is at least 1
             early = start + i < num_arms
-            denom = np.maximum(counts, 1.0, out=floor) if early else counts
+            denom = np.maximum(counts, one, out=floor) if early else counts
             np.divide(sums, denom, out=index)
             np.divide(bonus, denom, out=width)
             np.sqrt(width, out=width)
             index += width
             if early:
-                np.equal(counts, 0.0, out=unseen)
+                np.equal(counts, zero, out=unseen)
                 index[unseen] = np.inf
-            arm = index.argmax(axis=2, out=arms[i])
+            arm = index_3d.argmax(axis=2, out=arms[i])
             if neighbor_updates:
-                observed = pulled_rows(arm)
+                take_rows(arm)
                 counts += observed
-                observed &= wins[i]
+                observed &= flat_wins[i]
                 sums += observed
             else:
-                at = state_base + arm
-                flat_counts[at] += 1.0
-                # the reward is wins[i]'s flat entry ``at`` mod (runs x K)
-                flat_sums[at] += flat_wins[i].take(at, mode="wrap")
+                np.add(state_base, arm, out=at)
+                counts[at] += 1.0
+                sums[at] += flat_wins[i][at]
         regret.fold(start, n)
-    return counts, sums
+    return counts.reshape(shape), sums.reshape(shape)
 
 
-def _row_reader(adj):
-    """Maps the arms pulled, shape (G, runs), to their rows of ``adj``, a
-    new (G, runs, K) array; one graph's arms are already its row numbers."""
+def _row_taker(adj, num_runs, out):
+    """Maps the arms pulled, shape (G, runs), to their rows of ``adj``,
+    written into ``out``, the flat (G x runs x K) bool buffer; one graph's
+    arms are already its row numbers. The arms are in range, so
+    ``mode="clip"`` only spares ``take`` a copy of ``out``."""
     num_graphs, num_arms = adj.shape[:2]
     rows = adj.reshape(num_graphs * num_arms, num_arms)
+    out = out.reshape(num_graphs, num_runs, num_arms)
     if num_graphs == 1:
-        return lambda arm: rows.take(arm, axis=0)
-    row_base = (np.arange(num_graphs) * num_arms)[:, None]
-    return lambda arm: rows.take(row_base + arm, axis=0)
+        return lambda arm: rows.take(arm, axis=0, out=out, mode="clip")
+    row_base = np.repeat(np.arange(num_graphs) * num_arms, num_runs)
+    row_base = row_base.reshape(num_graphs, num_runs)
+    at = np.empty_like(row_base)
+    return lambda arm: rows.take(
+        np.add(row_base, arm, out=at), axis=0, out=out, mode="clip"
+    )
 
 
 def _ts_batch(means, adj, horizon, gens, regret):
     num_graphs, num_arms = adj.shape[:2]
     num_runs = len(gens) // num_graphs
     shape = (num_graphs, num_runs, num_arms)
+    size = len(gens) * num_arms
     # Beta parameters, successes + 1 and failures + 1 (exact in float64),
     # interleaved per arm as (a, b), and the gamma draws, ones until drawn:
     # rows of an episode still on ``beta`` divide 1 by 2, never 0 by 0
-    ab, gammas = np.ones((2, *shape, 2))
-    a, b = ab[..., 0], ab[..., 1]
-    gamma_a, gamma_b = gammas[..., 0], gammas[..., 1]
+    ab, gammas = np.ones((2, 2 * size))
+    a, b = ab[0::2], ab[1::2]
+    gamma_a, gamma_b = gammas[0::2], gammas[1::2]
     # a round's (success, failure) per arm, added to ``ab`` in one pass
-    outcome = np.empty_like(ab)
-    success, failure = outcome[..., 0], outcome[..., 1]
-    u, win, theta = np.empty((3, *shape))
-    pulled_rows = _row_reader(adj)
+    outcome = np.empty(2 * size, dtype=np.bool_)
+    success, failure = outcome[0::2], outcome[1::2]
+    u, theta = np.empty((2, size))
+    win, observed = np.empty((2, size), dtype=np.bool_)
+    tiled_means = np.tile(means, len(gens))
+    take_rows = _row_taker(adj, num_runs, observed)
+    theta_3d = theta.reshape(shape)
     flat_u, flat_theta = u.reshape(-1, num_arms), theta.reshape(-1, num_arms)
     flat_ab = ab.reshape(-1, 2 * num_arms)
     draws = [
@@ -227,17 +254,17 @@ def _ts_batch(means, adj, horizon, gens, regret):
             for e in fresh:
                 gens[e].random(out=flat_u[e])
                 flat_theta[e] = gens[e].beta(flat_ab[e, 0::2], flat_ab[e, 1::2])
-            observed = pulled_rows(theta.argmax(axis=2, out=arms[i]))
-            np.less(u, means, out=win)
-            np.multiply(win, observed, out=success)
-            np.subtract(observed, success, out=failure)
+            take_rows(theta_3d.argmax(axis=2, out=arms[i]))
+            np.less(u, tiled_means, out=win)
+            np.logical_and(win, observed, out=success)
+            np.greater(observed, win, out=failure)
             ab += outcome
             if fresh:
-                unseen = (a + b == 2.0).any(axis=2).reshape(-1)
+                unseen = (a + b == 2.0).reshape(-1, num_arms).any(axis=1)
                 fresh = np.flatnonzero(unseen).tolist()
                 plain = [draws[e] for e in np.flatnonzero(~unseen)]
         regret.fold(start, n)
-    return a - 1.0, b - 1.0
+    return (a - 1.0).reshape(shape), (b - 1.0).reshape(shape)
 
 
 def _share_count(policy, num_episodes, num_runs, horizon, keep_pulls):
@@ -262,9 +289,14 @@ def _run_share(
     policy, means, adj, horizon, stream, runs, bonus, gaps, marks, keep_pulls
 ):
     """The episodes of ``runs`` (global run indices) on every graph."""
-    num_graphs, num_arms = adj.shape[0], means.shape[0]
-    shape = (num_graphs, len(runs))
-    block = max(1, min(horizon, _BLOCK_DOUBLES // (shape[1] * num_arms)))
+    num_graphs = adj.shape[0]
+    block = _BLOCK_DOUBLES // (num_graphs * len(runs) * means.size)
+    block = max(1, min(horizon, block))
+    if policy == "ucb1":
+        # ucb1 ignores the graph and every graph reads the run's uniforms,
+        # so one graph's episodes are every graph's
+        adj = adj[:1]
+    shape = (adj.shape[0], len(runs))
     pulls = np.empty((horizon, *shape), dtype=np.int64) if keep_pulls else None
     regret = _Regret(gaps, marks, shape, block, pulls)
     if policy == "ts-n":
@@ -275,7 +307,13 @@ def _run_share(
         state = _ucb_batch(
             means, adj, horizon, bonus, policy == "ucb-n", gens, regret
         )
-    return EpisodeBatch(regret.marked, regret.running.copy(), pulls, *state)
+    arrays = [regret.marked, regret.running.copy(), *state]
+    if adj.shape[0] < num_graphs:
+        arrays = [np.repeat(x, num_graphs, axis=0) for x in arrays]
+        if pulls is not None:
+            pulls = np.repeat(pulls, num_graphs, axis=1)
+    marked, final, state_a, state_b = arrays
+    return EpisodeBatch(marked, final, pulls, state_a, state_b)
 
 
 def run_episode_batch(
@@ -290,7 +328,8 @@ def run_episode_batch(
     marks=(),
     keep_pulls: bool = False,
 ) -> EpisodeBatch:
-    """Run ``num_runs`` episodes on each graph of ``adj`` (shape (G, K, K)).
+    """Run ``num_runs`` episodes on each graph of ``adj`` (shape (G, K, K),
+    G >= 1, True on the diagonal).
 
     ``stream(run)`` returns a fresh generator for run ``run``. The UCB
     policies call it once per run and share the run's uniforms across the
@@ -312,8 +351,12 @@ def run_episode_batch(
     k = means.shape[0] if means.ndim == 1 else -1
     if k < 1:
         raise InputError(f"means must be a nonempty 1-D array, got shape {means.shape}")
-    if adj.ndim != 3 or adj.shape[1:] != (k, k):
-        raise InputError(f"adj must have shape (G, {k}, {k}), got {adj.shape}")
+    if adj.ndim != 3 or adj.shape[1:] != (k, k) or adj.shape[0] < 1:
+        raise InputError(
+            f"adj must have shape (G, {k}, {k}) with G >= 1, got {adj.shape}"
+        )
+    if not adj.diagonal(axis1=1, axis2=2).all():
+        raise InputError("adj must be True on its diagonal: a pull observes its own arm")
     horizon = at_least("horizon", horizon)
     policy = check_policy(policy)
     marks = [integer("marks", m) for m in marks]

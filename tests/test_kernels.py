@@ -163,8 +163,8 @@ class TestBatchAgainstByHand:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_horizons_around_the_block_length(self, monkeypatch, policy):
-        # 2 runs x 6 arms in a 96-double budget make blocks of 8 rounds
-        monkeypatch.setattr("graphbandits.kernels._BLOCK_DOUBLES", 96)
+        # 2 graphs x 2 runs x 6 arms in a 192-flag budget make blocks of 8 rounds
+        monkeypatch.setattr("graphbandits.kernels._BLOCK_DOUBLES", 192)
         inst = BanditInstance(MEANS, edgeless(6))
         graphs = [edgeless(6), complete(6)]
         for horizon in (1, 7, 8, 17):
@@ -189,6 +189,21 @@ class TestBatchAgainstByHand:
         )
         assert np.array_equal(pulls, want)
         assert gen.random() == rng.random()
+
+    def test_ucb1_runs_one_graph_for_every_graph(self, monkeypatch):
+        # ucb1 ignores the graph, so the loops simulate one graph's episodes
+        shapes = []
+        ucb_batch = kernels._ucb_batch
+
+        def spy(means, adj, *args):
+            shapes.append(adj.shape)
+            return ucb_batch(means, adj, *args)
+
+        monkeypatch.setattr(kernels, "_ucb_batch", spy)
+        graphs = [complete(6), disjoint_cliques((3, 3)), edgeless(6)]
+        inst = BanditInstance(MEANS, graphs[0])
+        _check_against_by_hand("ucb1", inst, graphs, 200, 3, 4, [1, 63, 199])
+        assert shapes == [(1, 6, 6)]
 
     def test_input_validation(self):
         inst = BanditInstance(MEANS, cycle(6))
@@ -254,6 +269,35 @@ class TestBatchAgainstByHand:
         with pytest.raises(InputError, match=f"^{needle}$"):
             run_episode_batch(policy, stream=lambda run: episode_stream(0, run), **call)
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize(
+        "adj, needle",
+        [
+            # ts-n divided by zero graphs, the UCB loops returned empty arrays
+            (
+                np.ones((0, 3, 3), dtype=bool),
+                r"adj must have shape \(G, 3, 3\) with G >= 1, got \(0, 3, 3\)",
+            ),
+            # an arm that does not observe itself: ucb-n divided 0 by 0 and
+            # ts-n returned a regret
+            (
+                np.stack([cycle(3).adjacency_matrix(), ~np.eye(3, dtype=bool)]),
+                "adj must be True on its diagonal: a pull observes its own arm",
+            ),
+            (
+                np.zeros((1, 3, 3), dtype=bool),
+                "adj must be True on its diagonal: a pull observes its own arm",
+            ),
+        ],
+        ids=["no-graph", "one-graph-of-two", "empty-graph"],
+    )
+    def test_malformed_adjacency_is_refused(self, policy, adj, needle):
+        with pytest.raises(InputError, match=f"^{needle}$"):
+            run_episode_batch(
+                policy, [0.5, 0.4, 0.3], adj, 10,
+                lambda run: episode_stream(0, run), 2, bonus=1.0,
+            )
+
     def test_edge_numbers_are_taken(self):
         # means at 0 and 1, a zero bonus and zero gaps are in the domain
         batch = run_episode_batch(
@@ -266,13 +310,14 @@ class TestBatchAgainstByHand:
 
 class TestOneGraphPath:
     """A one-graph batch reads the pulled arms' adjacency rows directly, a
-    batch of G graphs through each graph's row offset; both give the bits
-    of G one-graph batches, and hold no copy of the adjacency."""
+    batch of G graphs through each graph's row offset, and a ucb1 batch
+    simulates one graph for all; each gives the bits of G one-graph batches
+    and of every episode by hand, and holds no copy of the adjacency."""
 
     @given(
         st.sampled_from(POLICIES),
         st.integers(1, 8),
-        st.integers(2, 3),
+        st.integers(1, 3),
         st.integers(1, 3),
         st.integers(1, 40),
         st.integers(1, 64),
@@ -313,13 +358,21 @@ class TestOneGraphPath:
         ]:
             want = np.concatenate([getattr(one, name) for one in ones], axis=axis)
             assert getattr(whole, name).tobytes() == want.tobytes(), name
-        pulls, regret, _ = episode_by_hand(
-            BanditInstance(inst.means, graphs[-1]), policy, horizon,
-            episode_stream(seed, num_runs - 1),
-            delta=None if policy == "ts-n" else DELTA,
-        )
-        assert np.array_equal(whole.pulls[:, -1, -1], pulls)
-        assert whole.marked[-1, -1].tolist() == regret.tolist()
+        for g, graph in enumerate(graphs):
+            for run in range(num_runs):
+                pulls, regret, obj = episode_by_hand(
+                    BanditInstance(inst.means, graph), policy, horizon,
+                    episode_stream(seed, run),
+                    delta=None if policy == "ts-n" else DELTA,
+                )
+                assert np.array_equal(whole.pulls[:, g, run], pulls)
+                assert whole.marked[g, run].tolist() == regret.tolist()
+                state = (
+                    (obj.successes, obj.failures) if policy == "ts-n"
+                    else (obj.counts, obj.sums)
+                )
+                assert np.array_equal(whole.state_a[g, run], state[0])
+                assert np.array_equal(whole.state_b[g, run], state[1])
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_loops_hold_no_copy_of_the_adjacency(self, policy):
@@ -337,6 +390,59 @@ class TestOneGraphPath:
         finally:
             tracemalloc.stop()
         assert peak < 2 * k * k
+
+
+class TestBatchMemory:
+    """The loops' buffers are sized per block of rounds, and a block by
+    graphs x runs x arms, so a batch's peak grows neither with the horizon
+    nor when its per-round reward flags are repeated for every graph."""
+
+    @staticmethod
+    def _peak(monkeypatch, policy, adj, means, horizon, num_runs):
+        # a split batch would allocate in children tracemalloc does not see
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+
+        def call():
+            run_episode_batch(
+                policy, means, adj, horizon, lambda run: episode_stream(1, run),
+                num_runs, bonus=3.0, marks=[horizon - 1],
+            )
+
+        call()  # numpy's one-time allocations are not the loops'
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_peak_does_not_grow_with_the_horizon(self, monkeypatch, policy):
+        adj = np.stack([cycle(100).adjacency_matrix(), complete(100).adjacency_matrix()])
+        means = np.linspace(0.05, 0.95, 100)
+        short, long = (
+            self._peak(monkeypatch, policy, adj, means, horizon, 3)
+            for horizon in (64, 2048)
+        )
+        # one int64 per episode round would add 2048 x 2 x 3 x 8 bytes = 96 KiB
+        assert long <= short + 16 * 1024
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_sweep_shape_stays_within_the_3d_loops_buffers(self, monkeypatch, policy):
+        # the perfbench sweep: four graphs on 10 arms, 4 runs, T = 2048
+        graphs = [complete(10), disjoint_cliques((5, 5)), edgeless(10), cycle(10)]
+        adj = np.stack([g.adjacency_matrix() for g in graphs])
+        means = np.array([0.9] + [0.6] * 9)
+        peak = self._peak(monkeypatch, policy, adj, means, 2048, 4)
+        # Loops on (G, runs, K) state sized their blocks by runs x arms and
+        # held, per block, the pulled arms and regret steps (16 bytes per
+        # episode round) and, for UCB, the uniforms and reward flags
+        # (9 bytes per run and arm).
+        block = kernels._BLOCK_DOUBLES // (4 * 10)
+        held = block * 4 * 4 * 16
+        if policy != "ts-n":
+            held += block * 4 * 10 * 9
+        assert peak <= held
 
 
 def _force_split(monkeypatch, cpus):
