@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 from .env import BanditInstance, gaps
 from .errors import InputError, at_least, decimal_digits
-from .graph import DEFAULT_EXACT_LIMIT, independence_number, max_independent_set
+from .graph import DEFAULT_EXACT_LIMIT
+from .phases import _alpha, _solve
 
 __all__ = [
     "BoundReport",
@@ -86,24 +87,16 @@ def hardness(
     Optimal arms are removed from the graph before the search (their
     inverse gap is undefined), so the maximization ranges over independent
     sets of the suboptimal induced subgraph. Returns 0 when no arm is
-    suboptimal.
+    suboptimal. Solved once per instance; an inverse gap that overflows
+    raises InputError.
     """
     profile = gaps(instance)
     suboptimal = profile.suboptimal_arms()
     if not suboptimal:
         return 0.0
-    sub, relabel = instance.graph.induced_subgraph(suboptimal)
-    weights = [1.0 / float(profile.gaps[a]) for a in relabel]
-    for arm, weight in zip(relabel, weights):
-        if math.isinf(weight):
-            raise InputError(
-                f"arm {arm}: gap {float(profile.gaps[arm]):.3g} is too small, "
-                "its inverse overflows"
-            )
-    found = max_independent_set(
-        sub, weights, exact_limit=exact_limit, allow_approximate=allow_approximate
-    )
-    return float(found.value)
+    return float(_solve(
+        instance, suboptimal, "1/gap", exact_limit, allow_approximate, profile.gaps
+    ).value)
 
 
 def log_horizon_bound(scale: float, horizon: int, hardness_value: float) -> float:
@@ -181,12 +174,8 @@ def bound_report(
     """
     horizon = at_least("horizon", horizon)
     delta = default_delta(horizon, delta)
-    alpha = independence_number(
-        instance.graph, exact_limit=exact_limit, allow_approximate=allow_approximate
-    )
-    h = hardness(
-        instance, exact_limit=exact_limit, allow_approximate=allow_approximate
-    )
+    alpha = _alpha(instance, exact_limit, allow_approximate)
+    h = hardness(instance, exact_limit=exact_limit, allow_approximate=allow_approximate)
     scale = confidence_scale(horizon, instance.num_arms, delta)
     report = BoundReport(
         horizon=horizon,

@@ -29,6 +29,8 @@ class BanditInstance:
     means: np.ndarray
     graph: FeedbackGraph
     family: str = BERNOULLI
+    # independent sets solved on this instance, kept by ``phases._solve``
+    _sets: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         means = np.array(self.means, dtype=np.float64)

@@ -10,7 +10,6 @@ diagonal; every view of it, the search's bitmasks too, is read from it.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,8 +263,8 @@ def max_independent_set(
     exact; ties go to the lexicographically smallest sorted vertex tuple.
     A graph too deep for the interpreter's recursion is refused, as is one
     above ``exact_limit`` vertices unless ``allow_approximate`` asks for a
-    greedy answer, flagged as such. The last ``_MEMO_SIZE`` exact answers
-    are kept per (graph, weights).
+    greedy answer, flagged as such. Every call searches: nothing is kept
+    between calls (``phases`` keeps each instance's answers on it).
     """
     k = graph.num_arms
     if weights is not None:
@@ -290,21 +289,7 @@ def max_independent_set(
                 "(--approx-mis, mis.allow_approximate) to accept a greedy answer"
             )
         return _greedy_set(graph, weights)
-    if k > _MEMO_ARMS:
-        return _exact_set(graph, weights)
-    key = (k, np.packbits(graph.adjacency_matrix()).tobytes(),
-           None if weights is None else np.array(weights).tobytes())
-    found = _memo.pop(key, None) or _exact_set(graph, weights)
-    _memo[key] = found
-    if len(_memo) > _MEMO_SIZE:
-        _memo.popitem(last=False)
-    return found
-
-
-# Recent exact answers, least recently used first; bytes keys pin no matrix.
-_MEMO_SIZE = 128
-_MEMO_ARMS = 256
-_memo: OrderedDict = OrderedDict()
+    return _exact_set(graph, weights)
 
 
 def _exact_set(graph: FeedbackGraph, weights) -> IndependentSetResult:

@@ -302,8 +302,6 @@ def verify_instance(
     )
     if decomp.is_empty:
         return True
-    h = hardness(
-        instance, exact_limit=exact_limit, allow_approximate=allow_approximate
-    )
+    h = hardness(instance, exact_limit=exact_limit, allow_approximate=allow_approximate)
     bound = 2.0 * alpha_log_factor(decomp.alpha) * h
     return float(decomp.weighted_total) <= bound + RATIO_SLACK

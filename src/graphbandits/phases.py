@@ -8,11 +8,11 @@ size * 2^p drives the downstream budget arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .env import BanditInstance, gaps
 from .errors import InputError, at_least
-from .graph import DEFAULT_EXACT_LIMIT, independence_number, max_independent_set
+from .graph import DEFAULT_EXACT_LIMIT, max_independent_set
 
 __all__ = [
     "PhaseBand",
@@ -24,6 +24,42 @@ __all__ = [
     "phase_of",
     "regret_mass",
 ]
+
+
+def _solve(instance, arms, weighting, exact_limit, allow_approximate, gap=None):
+    """Independent set of the sorted arm ids ``arms``, in those ids.
+
+    ``weighting`` is None (unit weights), ``"gap"`` or ``"1/gap"`` of the
+    gap vector ``gap``. Answers, never refusals, are kept on the instance
+    per (arms, weighting, exact_limit, allow_approximate). All the arms
+    search the instance's graph itself, uncopied.
+    """
+    key = (arms, weighting, exact_limit, allow_approximate)
+    if key in instance._sets:
+        return instance._sets[key]
+    weights = None if weighting is None else [float(gap[a]) for a in arms]
+    if weighting == "1/gap":
+        weights = [1.0 / w for w in weights]
+        if math.inf in weights:
+            arm = arms[weights.index(math.inf)]
+            raise InputError(
+                f"arm {arm}: gap {float(gap[arm]):.3g} is too small, "
+                "its inverse overflows"
+            )
+    whole = len(arms) == instance.num_arms
+    graph = instance.graph if whole else instance.graph.induced_subgraph(arms)[0]
+    found = max_independent_set(
+        graph, weights, exact_limit=exact_limit, allow_approximate=allow_approximate
+    )
+    if not whole:
+        found = replace(found, vertices=frozenset(arms[v] for v in found.vertices))
+    instance._sets[key] = found
+    return found
+
+
+def _alpha(instance, exact_limit, allow_approximate) -> int:
+    arms = range(instance.num_arms)
+    return int(_solve(instance, arms, None, exact_limit, allow_approximate).value)
 
 
 def phase_of(gap: float) -> int:
@@ -122,15 +158,13 @@ def decompose(
     """Bucket suboptimal arms into bands and measure each induced subgraph.
 
     Every arm with a positive gap whose band index is at most
-    ``max_phase_index`` lands in exactly one band. Band independence sizes
-    come from exact search unless ``allow_approximate`` is set. The peak
-    band maximizes size * 2^phase, ties going to the smallest phase.
+    ``max_phase_index`` lands in exactly one band. Alpha and band sizes are
+    solved once per instance, exactly unless ``allow_approximate`` is set.
+    The peak band maximizes size * 2^phase, ties going to the smallest phase.
     """
     profile = gaps(instance)
     top = max_phase_index(horizon, profile.delta_min)
-    alpha = independence_number(
-        instance.graph, exact_limit=exact_limit, allow_approximate=allow_approximate
-    )
+    alpha = _alpha(instance, exact_limit, allow_approximate)
     buckets: dict[int, list[int]] = {}
     for arm in range(instance.num_arms):
         gap = float(profile.gaps[arm])
@@ -141,16 +175,10 @@ def decompose(
     bands = []
     for p in range(1, top + 1):
         arms = tuple(buckets.get(p, ()))
+        size, witness = 0, frozenset()
         if arms:
-            sub, relabel = instance.graph.induced_subgraph(arms)
-            found = max_independent_set(
-                sub, exact_limit=exact_limit, allow_approximate=allow_approximate
-            )
-            size = int(found.value)
-            witness = frozenset(relabel[v] for v in found.vertices)
-        else:
-            size = 0
-            witness = frozenset()
+            found = _solve(instance, arms, None, exact_limit, allow_approximate)
+            size, witness = int(found.value), found.vertices
         bands.append(PhaseBand(phase=p, arms=arms, independent_size=size, witness=witness))
     peak = max(bands, key=lambda band: band.term, default=None)
     if peak is None or peak.term == 0:
@@ -188,7 +216,7 @@ def regret_mass(
     band p is at most 2^-(p-1), each band term is dominated by
     2 * scale * size * 2^p, so the total is capped by 2 * scale times the
     decomposition's weighted total; the cap is returned alongside and the
-    ordering is checked.
+    ordering is checked. Each band's set is solved once per instance.
     """
     scale = float(scale)
     if not math.isfinite(scale) or scale <= 0.0:
@@ -196,16 +224,12 @@ def regret_mass(
     decomp = decompose(
         instance, horizon, exact_limit=exact_limit, allow_approximate=allow_approximate
     )
-    profile = gaps(instance)
+    gap = gaps(instance).gaps
     value = 0.0
     for band in decomp.bands:
         if not band.arms:
             continue
-        sub, relabel = instance.graph.induced_subgraph(band.arms)
-        weights = [float(profile.gaps[a]) for a in relabel]
-        found = max_independent_set(
-            sub, weights, exact_limit=exact_limit, allow_approximate=allow_approximate
-        )
+        found = _solve(instance, band.arms, "gap", exact_limit, allow_approximate, gap)
         value += scale * 4.0 ** band.phase * found.value
     cap = 2.0 * scale * float(decomp.weighted_total)
     if value > cap * (1.0 + 1e-9) + 1e-12:

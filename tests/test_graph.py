@@ -487,7 +487,7 @@ class TestScaleInvariance:
 
 @pytest.fixture
 def search_spy(monkeypatch):
-    """Counts optimum searches; the memo starts and ends empty."""
+    """Counts optimum searches."""
     calls = []
     real = graph_module._best_value
 
@@ -496,77 +496,7 @@ def search_spy(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(graph_module, "_best_value", spy)
-    graph_module._memo.clear()
-    yield calls
-    graph_module._memo.clear()
-
-
-class TestMemo:
-    def test_repeat_call_does_not_search_again(self, search_spy):
-        g = parse_graph_spec("er:20,0.3,4")
-        first = max_independent_set(g, weights=[1.5] * 20)
-        again = max_independent_set(parse_graph_spec("er:20,0.3,4"), [1.5] * 20)
-        assert again == first
-        assert len(search_spy) == 1
-        assert max_independent_set(g) == max_independent_set(g)
-        assert len(search_spy) == 2
-
-    def test_weights_and_graphs_get_their_own_entries(self, search_spy):
-        g, h = cycle(7), erdos_renyi(7, 0.5, 1)
-        answers = [
-            max_independent_set(g),
-            max_independent_set(g, weights=[1.0] * 7),
-            max_independent_set(g, weights=[5.0] + [1.0] * 6),
-            max_independent_set(h),
-        ]
-        assert len(search_spy) == 4
-        # the unweighted value is an int, the weighted one a float
-        assert [type(a.value) for a in answers[:2]] == [int, float]
-        assert answers[2].vertices == {0, 2, 4}
-        graph_module._memo.clear()
-        assert answers == [
-            max_independent_set(g),
-            max_independent_set(g, weights=[1.0] * 7),
-            max_independent_set(g, weights=[5.0] + [1.0] * 6),
-            max_independent_set(h),
-        ]
-
-    def test_greedy_answers_and_refusals_are_not_kept(self, search_spy, monkeypatch):
-        g = cycle(9)
-        assert max_independent_set(g, exact_limit=5, allow_approximate=True).approximate
-        with pytest.raises(CapabilityError):
-            max_independent_set(g, exact_limit=5)
-        assert not graph_module._memo
-        real = graph_module._lex_smallest_optimal
-
-        def too_deep(*args):
-            raise RecursionError
-
-        monkeypatch.setattr(graph_module, "_lex_smallest_optimal", too_deep)
-        with pytest.raises(CapabilityError, match="recursion limit"):
-            max_independent_set(g)
-        assert not graph_module._memo
-        monkeypatch.setattr(graph_module, "_lex_smallest_optimal", real)
-        assert max_independent_set(g).vertices == {0, 2, 4, 6}
-        assert len(search_spy) == 2
-
-    def test_least_recently_used_goes_first(self, search_spy):
-        size = graph_module._MEMO_SIZE
-
-        def solve(n):
-            return max_independent_set(edgeless(3), weights=[float(n), 1.0, 1.0])
-
-        for n in range(size):
-            solve(n)
-        solve(0)  # a hit, and now the most recently used
-        for n in range(size, size + 5):
-            solve(n)
-        assert len(graph_module._memo) == size
-        assert len(search_spy) == size + 5
-        solve(0)
-        assert len(search_spy) == size + 5
-        solve(1)
-        assert len(search_spy) == size + 6
+    return calls
 
 
 class TestPinnedAnswers:

@@ -1,5 +1,6 @@
 """Dyadic gap bands, the peak band, and the band-weighted regret mass."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,18 +9,25 @@ from hypothesis import strategies as st
 
 from graphbandits import (
     BanditInstance,
+    CapabilityError,
     InputError,
+    bound_report,
     complete,
     decompose,
     edgeless,
     gaps,
+    hardness,
     independence_number,
     max_phase_index,
+    parse_graph_spec,
     phase_of,
     regret_mass,
+    verify_decomposition,
+    verify_instance,
 )
+from graphbandits import graph as graph_module
 
-from oracles import random_instance
+from oracles import brute_force_mis, random_instance
 
 
 class TestPhaseOf:
@@ -221,3 +229,123 @@ class TestRegretMass:
         inst = BanditInstance(np.array([0.9, 0.5]), edgeless(2))
         with pytest.raises(InputError):
             regret_mass(inst, 100, scale=scale)
+
+
+HORIZON = 10**5
+
+
+def spread_instance(spec="er:12,0.3,5"):
+    """Arm 0 best at 0.9; the others' gaps halve every two arms, bands 1..6."""
+    graph = parse_graph_spec(spec)
+    means = [0.9] + [0.9 - 0.7 * 2.0 ** -(a // 2) for a in range(graph.num_arms - 1)]
+    return BanditInstance(np.array(means), graph)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Records the graph size and weights of every exact search."""
+    calls = []
+    real = graph_module._exact_set
+
+    def spy(graph, weights):
+        calls.append((graph.num_arms, weights))
+        return real(graph, weights)
+
+    monkeypatch.setattr(graph_module, "_exact_set", spy)
+    return calls
+
+
+class TestInstanceSets:
+    """Each instance solves each of its independent sets once."""
+
+    def test_every_function_shares_the_instance_sets(self, solves):
+        inst = spread_instance()
+        report = bound_report(inst, HORIZON)
+        assert hardness(inst) == report.hardness
+        decomp = decompose(inst, HORIZON)
+        assert verify_decomposition(decomp).all_hold
+        regret_mass(inst, HORIZON, report.scale)
+        assert verify_instance(inst, HORIZON)
+        bands = [band.arms for band in decomp.bands if band.arms]
+        assert len(bands) >= 4
+        # alpha, H, and each band unweighted and gap-weighted
+        assert len(solves) == 2 + 2 * len(bands)
+        assert solves[0] == (inst.num_arms, None)
+        again = BanditInstance(inst.means, inst.graph)
+        assert decompose(again, HORIZON) == decomp
+        assert len(solves) == 3 + 3 * len(bands)  # alpha and the bands again
+
+    def test_a_greedy_answer_serves_no_exact_request(self, solves):
+        inst = spread_instance()
+        greedy = decompose(inst, HORIZON, exact_limit=5, allow_approximate=True)
+        assert (inst.num_arms, None) not in solves
+        exact = decompose(inst, HORIZON)
+        assert solves.count((inst.num_arms, None)) == 1
+        assert exact.alpha >= greedy.alpha
+
+    def test_a_refusal_is_raised_again(self, solves):
+        inst = spread_instance()
+        for _ in range(2):
+            with pytest.raises(CapabilityError):
+                hardness(inst, exact_limit=5)
+        assert not inst._sets
+        assert not solves
+
+    def test_graph_keeps_no_memo(self):
+        assert not hasattr(graph_module, "_memo")
+
+    def test_alpha_does_not_copy_the_graph(self):
+        k = 3000
+        inst = BanditInstance(np.full(k, 0.5), complete(k))  # alpha alone
+        tracemalloc.start()
+        try:
+            assert decompose(inst, HORIZON, allow_approximate=True).alpha == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < k * k // 2
+
+
+def band_oracle(graph, arms, weights=None):
+    """Brute-force (value, set in the original ids) on the arms' subgraph."""
+    adj = graph.adjacency_matrix()
+    edges = [
+        (i, j)
+        for i in range(len(arms))
+        for j in range(i + 1, len(arms))
+        if adj[arms[i], arms[j]]
+    ]
+    value, chosen = brute_force_mis(len(arms), edges, weights)
+    return value, frozenset(arms[v] for v in chosen)
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("regret_mass_first", [True, False])
+    def test_alpha_hardness_bands_and_mass(self, regret_mass_first):
+        rng = np.random.default_rng(4242)
+        for _ in range(60):
+            inst = random_instance(rng, max_arms=12)
+            scale = 2.5
+            if regret_mass_first:
+                mass = regret_mass(inst, HORIZON, scale)
+                report = bound_report(inst, HORIZON)
+            else:
+                report = bound_report(inst, HORIZON)
+                mass = regret_mass(inst, HORIZON, scale)
+            decomp = decompose(inst, HORIZON)
+            g = gaps(inst).gaps
+            everyone = list(range(inst.num_arms))
+            assert report.alpha == decomp.alpha == band_oracle(inst.graph, everyone)[0]
+            suboptimal = gaps(inst).suboptimal_arms()
+            want_h = band_oracle(inst.graph, suboptimal, [1.0 / g[a] for a in suboptimal])
+            assert report.hardness == pytest.approx(want_h[0], rel=1e-9)
+            want_mass = 0.0
+            for band in decomp.bands:
+                if band.arms:
+                    size, witness = band_oracle(inst.graph, band.arms)
+                    assert (band.independent_size, band.witness) == (size, witness)
+                    weights = [g[a] for a in band.arms]
+                    want_mass += scale * 4.0**band.phase * band_oracle(
+                        inst.graph, band.arms, weights
+                    )[0]
+            assert mass.value == pytest.approx(want_mass, rel=1e-9)
