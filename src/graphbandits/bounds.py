@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .env import BanditInstance, gaps
 from .errors import InputError, at_least, decimal_digits
 from .graph import DEFAULT_EXACT_LIMIT
-from .phases import _alpha, _solve
+from .phases import _solve
 
 __all__ = [
     "BoundReport",
@@ -174,7 +174,9 @@ def bound_report(
     """
     horizon = at_least("horizon", horizon)
     delta = default_delta(horizon, delta)
-    alpha = _alpha(instance, exact_limit, allow_approximate)
+    alpha = int(_solve(
+        instance, range(instance.num_arms), None, exact_limit, allow_approximate
+    ).value)
     h = hardness(instance, exact_limit=exact_limit, allow_approximate=allow_approximate)
     scale = confidence_scale(horizon, instance.num_arms, delta)
     report = BoundReport(

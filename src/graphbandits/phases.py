@@ -57,11 +57,6 @@ def _solve(instance, arms, weighting, exact_limit, allow_approximate, gap=None):
     return found
 
 
-def _alpha(instance, exact_limit, allow_approximate) -> int:
-    arms = range(instance.num_arms)
-    return int(_solve(instance, arms, None, exact_limit, allow_approximate).value)
-
-
 def phase_of(gap: float) -> int:
     """The unique integer p >= 1 with 2^-p < gap <= 2^-(p-1).
 
@@ -164,7 +159,9 @@ def decompose(
     """
     profile = gaps(instance)
     top = max_phase_index(horizon, profile.delta_min)
-    alpha = _alpha(instance, exact_limit, allow_approximate)
+    alpha = int(_solve(
+        instance, range(instance.num_arms), None, exact_limit, allow_approximate
+    ).value)
     buckets: dict[int, list[int]] = {}
     for arm in range(instance.num_arms):
         gap = float(profile.gaps[arm])
