@@ -29,10 +29,10 @@ __all__ = [
 def _solve(instance, arms, weighting, exact_limit, allow_approximate, gap=None):
     """Independent set of the sorted arm ids ``arms``, in those ids.
 
-    ``weighting`` is None (unit weights), ``"gap"`` or ``"1/gap"`` of the
-    gap vector ``gap``. Answers, never refusals, are kept on the instance
-    per (arms, weighting, exact_limit, allow_approximate). All the arms
-    search the instance's graph itself, uncopied.
+    ``weighting`` is None (unit weights), ``"gap"`` or ``"1/gap"`` of each
+    arm's entry in the gap vector ``gap``. Answers, never refusals, are kept
+    on the instance per (arms, weighting, exact_limit, allow_approximate).
+    When ``arms`` is every arm, the instance's graph is searched uncopied.
     """
     key = (arms, weighting, exact_limit, allow_approximate)
     if key in instance._sets:
