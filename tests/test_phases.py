@@ -333,10 +333,11 @@ class TestAgainstBruteForce:
                 report = bound_report(inst, HORIZON)
                 mass = regret_mass(inst, HORIZON, scale)
             decomp = decompose(inst, HORIZON)
-            g = gaps(inst).gaps
+            profile = gaps(inst)
+            g = profile.gaps
             everyone = list(range(inst.num_arms))
             assert report.alpha == decomp.alpha == band_oracle(inst.graph, everyone)[0]
-            suboptimal = gaps(inst).suboptimal_arms()
+            suboptimal = profile.suboptimal_arms()
             want_h = band_oracle(inst.graph, suboptimal, [1.0 / g[a] for a in suboptimal])
             assert report.hardness == pytest.approx(want_h[0], rel=1e-9)
             want_mass = 0.0
