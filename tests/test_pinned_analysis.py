@@ -4,7 +4,10 @@
 reprs of ``bound_report``, ``decompose``, ``verify_decomposition`` and
 ``regret_mass`` on three seeded 30-arm ``er`` instances are pinned in
 ``pinned_analysis.txt``, one line per call, as ``analysis_lines`` writes
-them (``python tests/test_pinned_analysis.py`` prints them).
+them (``python tests/test_pinned_analysis.py`` prints them). So are
+``decompose`` and ``regret_mass`` at horizons where bands appear and
+vanish, with the default exact search and with a limit of 5 arms that
+sends alpha and the larger bands to the greedy path.
 """
 from pathlib import Path
 
@@ -23,6 +26,8 @@ from graphbandits.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = Path(__file__).with_name("pinned_analysis.txt")
 HORIZON = 10**5
+HORIZONS = (10, 10**3, 10**5)
+SETTINGS = ({}, {"exact_limit": 5, "allow_approximate": True})
 
 DEMO_BOUNDS = """\
 T               4096
@@ -71,6 +76,14 @@ def analysis_lines() -> list[str]:
             repr(verify_decomposition(decomp)),
             repr(regret_mass(instance, HORIZON, report.scale)),
         ]
+    for seed in (1, 2, 3):
+        instance = seeded_instance(seed)
+        for settings in SETTINGS:
+            for horizon in HORIZONS:
+                lines += [
+                    repr(decompose(instance, horizon, **settings)),
+                    repr(regret_mass(instance, horizon, 2.5, **settings)),
+                ]
     return lines
 
 
