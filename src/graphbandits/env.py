@@ -29,8 +29,13 @@ class BanditInstance:
     means: np.ndarray
     graph: FeedbackGraph
     family: str = BERNOULLI
-    # independent sets solved on this instance, kept by ``phases._solve``
+    # computed once and kept: the gap profile, by ``gaps``; by ``phases``, the
+    # graph's labelling per weighting, each independent set per request and
+    # each decomposition per (top band, exact_limit, allow_approximate)
+    _gaps: GapProfile | None = field(default=None, init=False, repr=False)
+    _labels: dict = field(default_factory=dict, init=False, repr=False)
     _sets: dict = field(default_factory=dict, init=False, repr=False)
+    _decomps: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         means = np.array(self.means, dtype=np.float64)
@@ -72,13 +77,19 @@ class GapProfile:
 
 
 def gaps(instance: BanditInstance) -> GapProfile:
-    """Gap of every arm; ``delta_min`` is None when all arms are optimal."""
-    g = instance.means.max() - instance.means
-    g.setflags(write=False)
-    positive = g[g > 0.0]
-    delta_min = float(positive.min()) if positive.size else None
-    optimal = frozenset(int(a) for a in np.flatnonzero(g == 0.0))
-    return GapProfile(gaps=g, delta_min=delta_min, optimal_arms=optimal)
+    """Gap of every arm; ``delta_min`` is None when all arms are optimal.
+
+    Computed once per instance and kept on it; the profile is read-only.
+    """
+    if instance._gaps is None:
+        g = instance.means.max() - instance.means
+        g.setflags(write=False)
+        positive = g[g > 0.0]
+        delta_min = float(positive.min()) if positive.size else None
+        optimal = frozenset(int(a) for a in np.flatnonzero(g == 0.0))
+        profile = GapProfile(gaps=g, delta_min=delta_min, optimal_arms=optimal)
+        object.__setattr__(instance, "_gaps", profile)
+    return instance._gaps
 
 
 def sample_round(instance: BanditInstance, rng: np.random.Generator) -> np.ndarray:

@@ -112,13 +112,12 @@ class IndependentSetResult:
     approximate: bool = False
 
 
-def _neighbor_masks(graph: FeedbackGraph, order=None) -> list[int]:
+def _neighbor_masks(adj: np.ndarray, order=None) -> list[int]:
     # bit b of masks[a] is set when b != a is a neighbour of a (the XOR clears
-    # the diagonal bit), vertex i standing for order[i] if given: mask i is
-    # row order[i] of the matrix with its columns taken in that order
-    adj = graph.adjacency_matrix()
+    # the diagonal bit) in the bool matrix adj, vertex i standing for order[i]
+    # if given: mask i is row order[i] with its columns taken in that order
     if order is None:
-        order = range(graph.num_arms)
+        order = range(len(adj))
     else:
         adj = adj.take(order, 1)
     packed = np.packbits(adj, axis=1, bitorder="little")
@@ -199,19 +198,16 @@ def _best_value(masks, weights, cand: int) -> int:
     return best
 
 
-def _lex_smallest_optimal(goal, order, masks, weights) -> list:
+def _lex_smallest_optimal(goal, masks, weights, bit, cand) -> list:
     """Lexicographically smallest vertex set of integer weight at least ``goal``.
 
-    ``masks`` and ``weights`` label vertex ``order[i]`` as i; ``cand`` holds
-    the candidates in those labels, ``bit[v]`` being original vertex v's bit.
-    Depth-first over the lowest original vertex left, taking it before
-    leaving it out, so the first set that reaches the goal is the smallest
-    sorted tuple; the bound prunes no branch that reaches it, so the answer
-    does not depend on the labelling.
+    ``masks`` and ``weights`` are in labels, ``bit[v]`` is vertex v's label
+    bit and ``cand`` holds the candidates' bits. Depth-first over the lowest
+    vertex left, taking it before leaving it out, so the first set that
+    reaches the goal is the smallest sorted tuple; the bound prunes no
+    branch that reaches it, so the answer does not depend on the labelling.
     """
     chosen: list[int] = []
-    place = sorted(range(len(order)), key=order.__getitem__)
-    bit = [1 << i for i in place]
 
     def dfs(v, cand, acc):
         if acc >= goal:
@@ -220,14 +216,14 @@ def _lex_smallest_optimal(goal, order, masks, weights) -> list:
             return False
         while not cand & bit[v]:
             v += 1
-        i = place[v]
+        i = bit[v].bit_length() - 1
         chosen.append(v)
         if dfs(v + 1, cand & ~(masks[i] | bit[v]), acc + weights[i]):
             return True
         chosen.pop()
         return dfs(v + 1, cand ^ bit[v], acc)
 
-    dfs(0, (1 << len(order)) - 1, 0)
+    dfs(0, cand, 0)
     return chosen
 
 
@@ -264,7 +260,9 @@ def max_independent_set(
     A graph too deep for the interpreter's recursion is refused, as is one
     above ``exact_limit`` vertices unless ``allow_approximate`` asks for a
     greedy answer, flagged as such. Every call searches: nothing is kept
-    between calls (``phases`` keeps each instance's answers on it).
+    between calls. This is the exact core's whole-graph call; ``phases``
+    solves each instance's subsets as candidates of the same core and keeps
+    its labellings and answers on the instance.
     """
     k = graph.num_arms
     if weights is not None:
@@ -289,50 +287,86 @@ def max_independent_set(
                 "(--approx-mis, mis.allow_approximate) to accept a greedy answer"
             )
         return _greedy_set(graph, weights)
-    return _exact_set(graph, weights)
+    return _Labels(graph.adjacency_matrix(), weights).solve(range(k))
 
 
-def _exact_set(graph: FeedbackGraph, weights) -> IndependentSetResult:
-    """Optimum by ``_best_value``, set by ``_lex_smallest_optimal``.
+class _Labels:
+    """A graph under one weighting, as the exact search reads it.
 
-    Each reads one labelling, the first lightest first, the second heaviest
-    first, both then sparsest; so equal weights share one set of masks.
+    ``adj`` is a nonempty bool adjacency matrix; its positions name the
+    vertices ``ids`` in the answers (the positions themselves by default).
+    The weights (None for all ones, else finite and nonnegative floats, one
+    per position) are held as integers over one scale, so every subset sum
+    is exact. The search reads two labellings, lightest first for the
+    optimum and heaviest first for the set, both then sparsest, then lowest
+    position; each is built on first use and kept, and equal weights share
+    one. ``solve`` reads any set of positions as candidates of them.
     """
-    k = graph.num_arms
-    if weights is None:
-        scale, iw = 1, [1] * k
-    else:
-        # Every float is a dyadic rational, so over the largest denominator
-        # the weights are integers and every subset sum below is exact.
-        ratios = [x.as_integer_ratio() for x in weights]
-        scale = max(d for _, d in ratios)
-        iw = [n * (scale // d) for n, d in ratios]
-    deg = graph.adjacency_matrix().sum(axis=1).tolist()
-    # sparsest first, then lowest id: the stable sorts of relabel keep this
-    # order among equal weights, so an order's key is (weight, degree, id)
-    sparse = sorted(range(k), key=deg.__getitem__)
 
-    def relabel(heaviest):
-        order = sorted(sparse, key=iw.__getitem__, reverse=heaviest)
-        return order, _neighbor_masks(graph, order), [iw[v] for v in order]
+    __slots__ = ("adj", "ids", "weights", "scale", "iw", "uneven", "_sparse", "_built")
 
-    try:
-        order, masks, lw = relabel(False)
-        target = _best_value(masks, lw, (1 << k) - 1) / scale
-        # sets within a relative 1e-9 of the optimum tie it
-        n, d = (target - 1e-9 * target).as_integer_ratio()
-        if min(iw) < max(iw):
-            order, masks, lw = relabel(True)
-        chosen = _lex_smallest_optimal(-(-n * scale // d), order, masks, lw)
-    except OverflowError:
-        raise InputError("the maximum independent-set weight overflows") from None
-    except RecursionError:
-        raise CapabilityError(
-            f"exact independent-set search on {k} vertices is deeper than the "
-            "interpreter's recursion limit"
-        ) from None
-    value = len(chosen) if weights is None else math.fsum(weights[v] for v in chosen)
-    return IndependentSetResult(frozenset(chosen), value, approximate=False)
+    def __init__(self, adj: np.ndarray, weights=None, ids=None):
+        k = len(adj)
+        self.adj, self.weights = adj, weights
+        self.ids = range(k) if ids is None else ids
+        if weights is None:
+            self.scale, self.iw = 1, [1] * k
+        else:
+            # Every float is a dyadic rational, so over the largest denominator
+            # the weights are integers and every subset sum below is exact.
+            ratios = [x.as_integer_ratio() for x in weights]
+            self.scale = max(d for _, d in ratios)
+            self.iw = [n * (self.scale // d) for n, d in ratios]
+        self.uneven = min(self.iw) < max(self.iw)
+        deg = adj.sum(axis=1).tolist()
+        # sparsest first, then lowest position: the stable sorts of labelling
+        # keep this order among equal weights, so its key is (weight, degree, id)
+        self._sparse = sorted(range(k), key=deg.__getitem__)
+        self._built = {}
+
+    def labelling(self, heaviest: bool):
+        """(masks, weights, bit): each position's neighbour mask and integer
+        weight in labels, and ``bit[p]`` position p's label bit."""
+        heaviest = heaviest and self.uneven
+        if heaviest not in self._built:
+            order = sorted(self._sparse, key=self.iw.__getitem__, reverse=heaviest)
+            bit = [0] * len(order)
+            for i, p in enumerate(order):
+                bit[p] = 1 << i
+            self._built[heaviest] = (
+                _neighbor_masks(self.adj, order), [self.iw[p] for p in order], bit
+            )
+        return self._built[heaviest]
+
+    def solve(self, positions) -> IndependentSetResult:
+        """Maximum-weight independent set among the vertices at ``positions``.
+
+        The optimum by ``_best_value`` in the lightest-first labelling, the
+        set by ``_lex_smallest_optimal`` in the heaviest-first one. Over one
+        scale, the optimum as a float and the sets that reach it are those of
+        the subgraph of ``positions`` searched alone.
+        """
+        try:
+            masks, lw, bit = self.labelling(False)
+            target = _best_value(masks, lw, sum(bit[p] for p in positions)) / self.scale
+            # sets within a relative 1e-9 of the optimum tie it
+            n, d = (target - 1e-9 * target).as_integer_ratio()
+            masks, lw, bit = self.labelling(True)
+            chosen = _lex_smallest_optimal(
+                -(-n * self.scale // d), masks, lw, bit, sum(bit[p] for p in positions)
+            )
+        except OverflowError:
+            raise InputError("the maximum independent-set weight overflows") from None
+        except RecursionError:
+            raise CapabilityError(
+                f"exact independent-set search on {len(positions)} vertices is "
+                "deeper than the interpreter's recursion limit"
+            ) from None
+        if self.weights is None:
+            value = len(chosen)
+        else:
+            value = math.fsum(self.weights[p] for p in chosen)
+        return IndependentSetResult(frozenset(map(self.ids.__getitem__, chosen)), value)
 
 
 def independence_number(graph: FeedbackGraph, **kwargs) -> int:

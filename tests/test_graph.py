@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from graphbandits import (
     CapabilityError,
     FeedbackGraph,
+    IndependentSetResult,
     InputError,
     complete,
     cycle,
@@ -331,7 +332,7 @@ class TestAgainstEnumeration:
 
 
 def _integer_weights(weights):
-    """The weights over their common denominator, as ``_exact_set`` scales them."""
+    """The weights over their common denominator, as the exact search scales them."""
     ratios = [x.as_integer_ratio() for x in weights]
     scale = max(d for _, d in ratios)
     return [n * (scale // d) for n, d in ratios], scale
@@ -358,7 +359,7 @@ class TestCliqueCoverBound:
         w = [1.0] * graph.num_arms if weights is None else [float(x) for x in weights]
         # over the common denominator every weight and every sum is exact
         iw, _ = _integer_weights(w)
-        bound = _clique_cover_bound(cand, _neighbor_masks(graph), iw)
+        bound = _clique_cover_bound(cand, _neighbor_masks(graph.adjacency_matrix()), iw)
         members = [v for v in range(graph.num_arms) if cand >> v & 1]
         sub, relabel = graph.induced_subgraph(members)
         want = max(
@@ -370,7 +371,7 @@ class TestCliqueCoverBound:
 
     def test_cover_is_greedy_by_lowest_id(self):
         # cycle 0-1-2-3-4: cliques {0, 1}, {2, 3}, {4}
-        masks = _neighbor_masks(cycle(5))
+        masks = _neighbor_masks(cycle(5).adjacency_matrix())
         assert _clique_cover_bound(0b11111, masks, [1, 5, 2, 1, 3]) == 10
         assert _clique_cover_bound(0, masks, [1] * 5) == 0
 
@@ -400,13 +401,14 @@ class TestBestValue:
     def test_optimum_matches_enumeration_under_any_labelling(self, case):
         k, edges, weights, perm = case
         iw, scale = _integer_weights(weights)
-        got = _best_value(_neighbor_masks(FeedbackGraph(k, edges)), iw, (1 << k) - 1)
+        adj = FeedbackGraph(k, edges).adjacency_matrix()
+        got = _best_value(_neighbor_masks(adj), iw, (1 << k) - 1)
         want, _ = brute_force_mis(k, edges, weights)
         assert got / scale == pytest.approx(want, rel=1e-12)
         # vertex perm[i] becomes vertex i
         new = {v: i for i, v in enumerate(perm)}
         relabelled = FeedbackGraph(k, [(new[a], new[b]) for a, b in edges])
-        masks = _neighbor_masks(relabelled)
+        masks = _neighbor_masks(relabelled.adjacency_matrix())
         assert _best_value(masks, [iw[v] for v in perm], (1 << k) - 1) == got
 
 
@@ -424,15 +426,20 @@ class TestLexSmallestOptimal:
     def test_set_does_not_depend_on_the_bound_labelling(self, case):
         k, edges, weights, perm = case
         graph = FeedbackGraph(k, edges)
-        masks = _neighbor_masks(graph)
+        masks = _neighbor_masks(graph.adjacency_matrix())
         iw, scale = _integer_weights(weights)
-        # the goal as _exact_set derives it from the optimum
+        # the goal as the exact search derives it from the optimum
         target = _best_value(masks, iw, (1 << k) - 1) / scale
         n, d = (target - 1e-9 * target).as_integer_ratio()
         goal = -(-n * scale // d)
-        plain = _lex_smallest_optimal(goal, list(range(k)), masks, iw)
+        full = (1 << k) - 1
+        plain = _lex_smallest_optimal(goal, masks, iw, [1 << v for v in range(k)], full)
+        bit = [0] * k  # vertex perm[i] labelled i
+        for i, v in enumerate(perm):
+            bit[v] = 1 << i
+        perm_masks = _neighbor_masks(graph.adjacency_matrix(), perm)
         relabelled = _lex_smallest_optimal(
-            goal, perm, _neighbor_masks(graph, perm), [iw[v] for v in perm]
+            goal, perm_masks, [iw[v] for v in perm], bit, full
         )
         assert relabelled == plain
         assert tuple(relabelled) == brute_force_mis(k, edges, weights)[1]
@@ -448,7 +455,7 @@ class TestLexSmallestOptimal:
             return real(cand, masks, weights, classes)
 
         monkeypatch.setattr(graph_module, "_clique_cover_bound", spy)
-        got = graph_module._exact_set(parse_graph_spec("er:60,0.1,1"), None)
+        got = max_independent_set(parse_graph_spec("er:60,0.1,1"), exact_limit=60)
         assert got.value == 24
         assert len(calls) <= 150
 
@@ -456,9 +463,9 @@ class TestLexSmallestOptimal:
         built = []
         real = graph_module._neighbor_masks
 
-        def spy(graph, order=None):
+        def spy(adj, order=None):
             built.append(order)
-            return real(graph, order)
+            return real(adj, order)
 
         monkeypatch.setattr(graph_module, "_neighbor_masks", spy)
         g = erdos_renyi(12, 0.3, 5)
@@ -472,6 +479,48 @@ class TestLexSmallestOptimal:
             assert len(built) == masks_built, weights
             assert None not in built  # every set is relabelled
         assert len(search_spy) == 3
+
+
+_SUBSET_PALETTES = {
+    "dyadic": st.integers(0, 8).map(lambda n: n / 4),
+    "3-decimal": st.integers(0, 4000).map(lambda n: n / 1000),
+    "zeros": st.just(0.0),
+    "near-tie": _PALETTES["near-tie"],
+}
+
+
+@st.composite
+def _graph_weights_and_subset(draw):
+    k = draw(st.integers(1, 14))
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    edges = [pair for i, pair in enumerate(pairs) if bits >> i & 1]
+    palette = draw(st.sampled_from(["unit", "all equal", *sorted(_SUBSET_PALETTES)]))
+    if palette == "unit":
+        weights = None
+    elif palette == "all equal":
+        weights = [draw(st.floats(0.001, 100.0))] * k
+    else:
+        weights = draw(st.lists(_SUBSET_PALETTES[palette], min_size=k, max_size=k))
+    subset = sorted(draw(st.sets(st.integers(0, k - 1))))
+    return FeedbackGraph(k, edges), weights, subset
+
+
+class TestCandidateSolve:
+    @given(_graph_weights_and_subset())
+    def test_a_subset_solves_as_its_induced_subgraph(self, case):
+        # the whole graph's labelling, the subset as its candidates
+        graph, weights, subset = case
+        got = graph_module._Labels(graph.adjacency_matrix(), weights).solve(subset)
+        sub, ids = graph.induced_subgraph(subset)
+        sub_weights = None if weights is None else [weights[v] for v in ids]
+        alone = max_independent_set(sub, sub_weights)
+        assert got == IndependentSetResult(
+            frozenset(ids[v] for v in alone.vertices), alone.value, alone.approximate
+        )
+        value, chosen = brute_force_mis(len(ids), sub.edges(), sub_weights)
+        assert got.vertices == frozenset(ids[v] for v in chosen)
+        assert got.value == pytest.approx(value, rel=1e-12)
 
 
 class TestScaleInvariance:
@@ -781,7 +830,7 @@ class TestMatrixStorage:
 
     def test_neighbor_masks_match_bit_loop(self, corpus):
         for label, g, k, edges in corpus:
-            assert _neighbor_masks(g) == neighbor_bits(neighbor_sets(k, edges)), label
+            assert _neighbor_masks(g.adjacency_matrix()) == neighbor_bits(neighbor_sets(k, edges)), label
 
     def test_greedy_matches_vertex_by_vertex(self, corpus):
         rng = np.random.default_rng(11)
@@ -834,5 +883,5 @@ class TestRelabelledViews:
         new = {v: i for i, v in enumerate(order)}
         sets = neighbor_sets(k, edges)
         relabelled = [frozenset(new[u] for u in sets[v]) for v in order]
-        got = _neighbor_masks(FeedbackGraph(k, edges), order)
+        got = _neighbor_masks(FeedbackGraph(k, edges).adjacency_matrix(), order)
         assert got == neighbor_bits(relabelled)

@@ -25,7 +25,9 @@ from graphbandits import (
     verify_decomposition,
     verify_instance,
 )
+from graphbandits import env as env_module
 from graphbandits import graph as graph_module
+from graphbandits import phases as phases_module
 
 from oracles import brute_force_mis, random_instance
 
@@ -243,15 +245,15 @@ def spread_instance(spec="er:12,0.3,5"):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Records the graph size and weights of every exact search."""
+    """Records the candidate count and weights of every exact search."""
     calls = []
-    real = graph_module._exact_set
+    real = graph_module._Labels.solve
 
-    def spy(graph, weights):
-        calls.append((graph.num_arms, weights))
-        return real(graph, weights)
+    def spy(labels, positions):
+        calls.append((len(positions), labels.weights))
+        return real(labels, positions)
 
-    monkeypatch.setattr(graph_module, "_exact_set", spy)
+    monkeypatch.setattr(graph_module._Labels, "solve", spy)
     return calls
 
 
@@ -291,6 +293,41 @@ class TestInstanceSets:
         assert not inst._sets
         assert not solves
 
+    def test_one_mask_set_per_weighting_and_direction(self, monkeypatch):
+        built = []
+        real = graph_module._neighbor_masks
+
+        def spy(adj, order=None):
+            built.append(len(order))
+            return real(adj, order)
+
+        monkeypatch.setattr(graph_module, "_neighbor_masks", spy)
+        inst = spread_instance()
+        for _ in range(2):
+            report = bound_report(inst, HORIZON)
+            decompose(inst, HORIZON)
+            regret_mass(inst, HORIZON, report.scale)
+            assert verify_instance(inst, HORIZON)
+        # unit weights share one labelling; gaps and inverse gaps take two each
+        assert built == [inst.num_arms] * 5
+
+    def test_regret_mass_reads_the_kept_gaps_and_bands(self, monkeypatch):
+        inst = spread_instance()
+        decomp = decompose(inst, HORIZON)
+        want = regret_mass(inst, HORIZON, 2.5)
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("recomputed")
+
+        for module, name in [
+            (env_module, "GapProfile"),
+            (phases_module, "PhaseBand"),
+            (phases_module, "PhaseDecomposition"),
+        ]:
+            monkeypatch.setattr(module, name, rebuilt)
+        assert regret_mass(inst, HORIZON, 2.5) == want
+        assert decompose(inst, HORIZON) is decomp
+
     def test_graph_keeps_no_memo(self):
         assert not hasattr(graph_module, "_memo")
 
@@ -304,6 +341,25 @@ class TestInstanceSets:
         finally:
             tracemalloc.stop()
         assert peak < k * k // 2
+
+    def test_bands_past_the_limit_build_no_arm_wide_masks(self):
+        k = 3000
+        means = np.full(k, 0.9)
+        means[[1, 1500, 2999]] = 0.3  # band 1
+        means[[7, 700, 2000]] = 0.6  # band 2
+        means[[20, 900, 1800, 2700]] = 0.7  # band 3
+        inst = BanditInstance(means, edgeless(k))
+        tracemalloc.start()
+        try:
+            decomp = decompose(inst, HORIZON, allow_approximate=True)
+            mass = regret_mass(inst, HORIZON, 1.0, allow_approximate=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decomp.alpha == k
+        assert [b.independent_size for b in decomp.bands] == [3, 3, 4]
+        assert mass.value == pytest.approx(4 * 3 * 0.6 + 16 * 3 * 0.3 + 64 * 4 * 0.2)
+        assert peak < k * k // 8
 
 
 def band_oracle(graph, arms, weights=None):
