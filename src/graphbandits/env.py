@@ -30,12 +30,10 @@ class BanditInstance:
     graph: FeedbackGraph
     family: str = BERNOULLI
     # computed once and kept: the gap profile, by ``gaps``; by ``phases``, the
-    # graph's labelling per weighting, each independent set per request and
-    # each decomposition per (top band, exact_limit, allow_approximate)
+    # graph's labelling per weighting and each independent set per request
     _gaps: GapProfile | None = field(default=None, init=False, repr=False)
     _labels: dict = field(default_factory=dict, init=False, repr=False)
     _sets: dict = field(default_factory=dict, init=False, repr=False)
-    _decomps: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         means = np.array(self.means, dtype=np.float64)

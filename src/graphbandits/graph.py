@@ -293,8 +293,7 @@ def max_independent_set(
 class _Labels:
     """A graph under one weighting, as the exact search reads it.
 
-    ``adj`` is a nonempty bool adjacency matrix; its positions name the
-    vertices ``ids`` in the answers (the positions themselves by default).
+    ``adj`` is a nonempty bool adjacency matrix, its positions the vertices.
     The weights (None for all ones, else finite and nonnegative floats, one
     per position) are held as integers over one scale, so every subset sum
     is exact. The search reads two labellings, lightest first for the
@@ -303,12 +302,11 @@ class _Labels:
     one. ``solve`` reads any set of positions as candidates of them.
     """
 
-    __slots__ = ("adj", "ids", "weights", "scale", "iw", "uneven", "_sparse", "_built")
+    __slots__ = ("adj", "weights", "scale", "iw", "uneven", "_sparse", "_built")
 
-    def __init__(self, adj: np.ndarray, weights=None, ids=None):
+    def __init__(self, adj: np.ndarray, weights=None):
         k = len(adj)
         self.adj, self.weights = adj, weights
-        self.ids = range(k) if ids is None else ids
         if weights is None:
             self.scale, self.iw = 1, [1] * k
         else:
@@ -366,7 +364,7 @@ class _Labels:
             value = len(chosen)
         else:
             value = math.fsum(self.weights[p] for p in chosen)
-        return IndependentSetResult(frozenset(map(self.ids.__getitem__, chosen)), value)
+        return IndependentSetResult(frozenset(chosen), value)
 
 
 def independence_number(graph: FeedbackGraph, **kwargs) -> int:

@@ -51,28 +51,18 @@ def _solve(instance, arms, weighting, exact_limit, allow_approximate, gap=None):
     arm's entry in the gap vector ``gap``. Answers, never refusals, are kept
     on the instance per (arms, weighting, exact_limit, allow_approximate).
 
-    An exact answer searches ``arms`` as the candidates of the instance's
-    labelling for ``weighting``, which weights every arm (an optimal arm's
-    inverse gap as 0) and is built once and kept on the instance, when the
-    instance has at most ``exact_limit`` arms; past that a request labels
-    only its own arms, so no mask is wider than the limit. More arms than
-    the limit go to ``max_independent_set`` on their subgraph (the whole
-    graph uncopied): a greedy answer if ``allow_approximate`` asks for one,
-    else a refusal.
+    On an instance with at most ``exact_limit`` arms, ``arms`` are searched
+    as the candidates of the instance's labelling for ``weighting``, which
+    weights every arm (an optimal arm's inverse gap as 0) and is built once
+    and kept on the instance. On a larger instance ``arms`` go to
+    ``max_independent_set`` on their subgraph (the whole graph uncopied):
+    searched exactly within the limit, else a greedy answer if
+    ``allow_approximate`` asks for one, else a refusal.
     """
     key = (arms, weighting, exact_limit, allow_approximate)
     if key in instance._sets:
         return instance._sets[key]
-    if len(arms) > exact_limit:
-        whole = len(arms) == instance.num_arms
-        graph = instance.graph if whole else instance.graph.induced_subgraph(arms)[0]
-        found = max_independent_set(
-            graph, _weights(arms, weighting, gap),
-            exact_limit=exact_limit, allow_approximate=allow_approximate,
-        )
-        if not whole:
-            found = replace(found, vertices=frozenset(arms[v] for v in found.vertices))
-    elif instance.num_arms <= exact_limit:
+    if instance.num_arms <= exact_limit:
         labels = instance._labels.get(weighting)
         if labels is None:
             labels = instance._labels[weighting] = _Labels(
@@ -81,8 +71,14 @@ def _solve(instance, arms, weighting, exact_limit, allow_approximate, gap=None):
             )
         found = labels.solve(arms)
     else:
-        adj = instance.graph.adjacency_matrix().take(arms, 0).take(arms, 1)
-        found = _Labels(adj, _weights(arms, weighting, gap), arms).solve(range(len(arms)))
+        whole = len(arms) == instance.num_arms
+        graph = instance.graph if whole else instance.graph.induced_subgraph(arms)[0]
+        found = max_independent_set(
+            graph, _weights(arms, weighting, gap),
+            exact_limit=exact_limit, allow_approximate=allow_approximate,
+        )
+        if not whole:
+            found = replace(found, vertices=frozenset(arms[v] for v in found.vertices))
     instance._sets[key] = found
     return found
 
@@ -186,15 +182,9 @@ def decompose(
     ``max_phase_index`` lands in exactly one band. Alpha and band sizes are
     solved once per instance, exactly unless ``allow_approximate`` is set.
     The peak band maximizes size * 2^phase, ties going to the smallest phase.
-    The decomposition depends on the horizon only through the top band, and
-    is computed once per instance and (top band, ``exact_limit``,
-    ``allow_approximate``) and kept on the instance; a refusal keeps none.
     """
     profile = gaps(instance)
     top = max_phase_index(horizon, profile.delta_min)
-    key = (top, exact_limit, allow_approximate)
-    if key in instance._decomps:
-        return instance._decomps[key]
     alpha = int(_solve(
         instance, range(instance.num_arms), None, exact_limit, allow_approximate
     ).value)
@@ -215,18 +205,15 @@ def decompose(
         bands.append(PhaseBand(phase=p, arms=arms, independent_size=size, witness=witness))
     peak = max(bands, key=lambda band: band.term, default=None)
     if peak is None or peak.term == 0:
-        decomp = PhaseDecomposition(alpha, top, tuple(bands), None, None, None)
-    else:
-        decomp = PhaseDecomposition(
-            alpha=alpha,
-            max_phase=top,
-            bands=tuple(bands),
-            peak_phase=peak.phase,
-            log2_peak_size=peak.independent_size.bit_length() - 1,
-            log2_alpha_ratio=log2_alpha_ratio(alpha, peak.independent_size),
-        )
-    instance._decomps[key] = decomp
-    return decomp
+        return PhaseDecomposition(alpha, top, tuple(bands), None, None, None)
+    return PhaseDecomposition(
+        alpha=alpha,
+        max_phase=top,
+        bands=tuple(bands),
+        peak_phase=peak.phase,
+        log2_peak_size=peak.independent_size.bit_length() - 1,
+        log2_alpha_ratio=log2_alpha_ratio(alpha, peak.independent_size),
+    )
 
 
 @dataclass(frozen=True)
@@ -252,8 +239,8 @@ def regret_mass(
     band p is at most 2^-(p-1), each band term is dominated by
     2 * scale * size * 2^p, so the total is capped by 2 * scale times the
     decomposition's weighted total; the cap is returned alongside and the
-    ordering is checked. It reads the instance's kept gap profile and
-    decomposition, and solves each band's gap-weighted set once per instance.
+    ordering is checked. It reads the instance's kept gap profile, and
+    solves each band's gap-weighted set once per instance.
     """
     scale = float(scale)
     if not math.isfinite(scale) or scale <= 0.0:

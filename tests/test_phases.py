@@ -27,7 +27,6 @@ from graphbandits import (
 )
 from graphbandits import env as env_module
 from graphbandits import graph as graph_module
-from graphbandits import phases as phases_module
 
 from oracles import brute_force_mis, random_instance
 
@@ -311,22 +310,19 @@ class TestInstanceSets:
         # unit weights share one labelling; gaps and inverse gaps take two each
         assert built == [inst.num_arms] * 5
 
-    def test_regret_mass_reads_the_kept_gaps_and_bands(self, monkeypatch):
+    def test_analysis_reads_the_kept_gap_profile(self, monkeypatch):
         inst = spread_instance()
-        decomp = decompose(inst, HORIZON)
-        want = regret_mass(inst, HORIZON, 2.5)
+        profile = gaps(inst)
 
         def rebuilt(*args, **kwargs):
             raise AssertionError("recomputed")
 
-        for module, name in [
-            (env_module, "GapProfile"),
-            (phases_module, "PhaseBand"),
-            (phases_module, "PhaseDecomposition"),
-        ]:
-            monkeypatch.setattr(module, name, rebuilt)
-        assert regret_mass(inst, HORIZON, 2.5) == want
-        assert decompose(inst, HORIZON) is decomp
+        monkeypatch.setattr(env_module, "GapProfile", rebuilt)
+        report = bound_report(inst, HORIZON)
+        decompose(inst, HORIZON)
+        regret_mass(inst, HORIZON, report.scale)
+        assert verify_instance(inst, HORIZON)
+        assert gaps(inst) is profile
 
     def test_graph_keeps_no_memo(self):
         assert not hasattr(graph_module, "_memo")
