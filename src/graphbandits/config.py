@@ -22,6 +22,8 @@ Integer fields (``run.horizon``, ``run.runs``, ``run.seed``, each
 checkpoint, a graph mapping's ``num_arms`` and edge ids, and
 ``mis.exact_limit``) must be YAML integers: ``1.5`` or ``true`` is refused,
 not truncated or read as 1. Means must be reals, not ``true``/``false``.
+A key not shown above, at any level, is refused with its dotted name
+(``run.run``), so a misspelt field cannot fall back to its default.
 """
 from __future__ import annotations
 
@@ -35,6 +37,21 @@ from .graph import DEFAULT_EXACT_LIMIT, FeedbackGraph, parse_graph_spec
 from .sim import ExperimentConfig
 
 __all__ = ["experiment_config_from_dict", "load_experiment_config"]
+
+
+def _fields(mapping, label: str, known: tuple):
+    """``mapping``, after checking that it is a mapping with no key outside
+    ``known``; ``label`` is its dotted name, empty at the top level."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{label} must be a mapping")
+    for key in mapping:
+        if key not in known:
+            name = f"{label}.{key}" if label else str(key)
+            raise ConfigError(
+                f"unknown field: {name} ({label or 'the top level'} takes "
+                f"{', '.join(known)})"
+            )
+    return mapping
 
 
 def _require(mapping, key: str, label: str):
@@ -59,6 +76,7 @@ def _graph_from_value(value, label: str) -> FeedbackGraph:
         except InputError as exc:
             raise ConfigError(f"{label}: {exc}") from exc
     if isinstance(value, dict):
+        _fields(value, label, ("edges", "num_arms"))
         raw_edges = value.get("edges", [])
         if not isinstance(raw_edges, list):
             raise ConfigError(f"{label}.edges must be a list")
@@ -93,7 +111,10 @@ def experiment_config_from_dict(data: dict, source: str = "<config>") -> Experim
     """Validate a parsed config mapping; errors name the offending field."""
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: top level must be a mapping")
-    instance_block = _require(data, "instance", "instance")
+    _fields(data, "", ("instance", "policy", "run", "mis"))
+    instance_block = _fields(
+        _require(data, "instance", "instance"), "instance", ("means", "graph", "family")
+    )
     means = _require(instance_block, "means", "instance.means")
     if not isinstance(means, list) or not means:
         raise ConfigError("instance.means must be a nonempty list of reals")
@@ -105,7 +126,7 @@ def experiment_config_from_dict(data: dict, source: str = "<config>") -> Experim
     )
     family = instance_block.get("family", "bernoulli")
 
-    policy_block = _require(data, "policy", "policy")
+    policy_block = _fields(_require(data, "policy", "policy"), "policy", ("name", "delta"))
     policy_name = _require(policy_block, "name", "policy.name")
     delta = policy_block.get("delta")
     if delta is not None:
@@ -114,7 +135,9 @@ def experiment_config_from_dict(data: dict, source: str = "<config>") -> Experim
         except (TypeError, ValueError):
             raise ConfigError(f"policy.delta must be a real, got {delta!r}") from None
 
-    run_block = _require(data, "run", "run")
+    run_block = _fields(
+        _require(data, "run", "run"), "run", ("horizon", "runs", "seed", "checkpoints")
+    )
     horizon = _integer(_require(run_block, "horizon", "run.horizon"), "run.horizon")
     runs = _integer(run_block.get("runs", 1), "run.runs")
     seed = _integer(run_block.get("seed", 0), "run.seed")
@@ -124,9 +147,7 @@ def experiment_config_from_dict(data: dict, source: str = "<config>") -> Experim
             raise ConfigError("run.checkpoints must be a list of round indices")
         checkpoints = tuple(_integer(c, "run.checkpoints") for c in checkpoints)
 
-    mis_block = data.get("mis", {})
-    if not isinstance(mis_block, dict):
-        raise ConfigError("mis must be a mapping")
+    mis_block = _fields(data.get("mis", {}), "mis", ("exact_limit", "allow_approximate"))
     exact_limit = _integer(
         mis_block.get("exact_limit", DEFAULT_EXACT_LIMIT), "mis.exact_limit"
     )
@@ -150,6 +171,19 @@ def experiment_config_from_dict(data: dict, source: str = "<config>") -> Experim
         raise ConfigError(f"{source}: {exc}") from exc
 
 
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """yaml's error on one line: the problem and where it was found (1-based),
+    or, without a mark, the error's own text with its lines joined."""
+    problem = getattr(exc, "problem", None)
+    mark = getattr(exc, "problem_mark", None)
+    if problem is None or mark is None:
+        problem, mark = str(exc), None
+    text = " ".join(line.strip() for line in problem.splitlines() if line.strip())
+    if mark is None:
+        return text
+    return f"{text} at line {mark.line + 1}, column {mark.column + 1}"
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     """Read and validate a YAML experiment config."""
     path = Path(path)
@@ -160,7 +194,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+        raise ConfigError(f"{path}: invalid YAML: {_yaml_problem(exc)}") from exc
     except ValueError as exc:  # e.g. an integer past str()'s digit limit, a bad date
         raise ConfigError(f"{path}: unreadable value: {exc}") from None
     if data is None:

@@ -22,9 +22,12 @@ rewards. The block's reward flags are repeated per graph, so that a round
 reads them flat. The last block stops at the horizon, where the one-round
 loop would leave the generator. A round forms the index (two divides, a
 square root, an add), writes its argmax into the block's arms and adds the
-pulled arms' adjacency rows (ucb1: the pulled arms) to the counts and,
-masked by the rewards, to the sums. ucb1 ignores the graph, so its batch
-runs one graph and repeats the result for the others.
+pulled arms' adjacency rows to the counts and, masked by the rewards, to
+the sums. ucb1 is ucb-n on the edgeless graph, where a pull observes only
+its own arm: whatever graphs it is given, its batch runs one graph, a
+contiguous K x K identity, and repeats the result for the others. That
+identity costs K^2 bytes, 1 MiB at K = 1024 and 256 MiB at
+``graph.MAX_ARMS``, as much as the instance's own adjacency.
 
 Thompson sampling keeps the per-round interleave of ``random(K)`` and the
 Beta draw on each (graph, run) generator. For an arm with a > 1 or b > 1,
@@ -38,14 +41,14 @@ its argmax into the block's arms, the pulled rows, the rewards against the
 means tiled once per batch, the success and failure flags, and one add of
 them to the interleaved (a, b).
 
-A round of one episode costs about 4.6 us (ucb-n) and 5.9 us (ucb1) at
-K = 10, and 5.1 and 6.6 us at K = 100 (2 shared vCPUs, numpy 2.4, best of
-several runs). A Thompson-sampling round costs about 13 us at K = 10 and
-20 us at K = 100, of which the two generator calls, 8 and 16 us, cannot
-be shared by batching, so a large batch splits its runs across the usable
-CPUs: this process runs the first share and a forked child (``workers``)
-each other one, and the shares are joined along the run axis,
-bit-identical to one process.
+A UCB round of one episode costs about 4.4-4.6 us at K = 10 and 4.9-5.0
+us at K = 100, for either policy (2 shared vCPUs, numpy 2.4, best of seven
+4096-round episodes on a cycle). A Thompson-sampling round costs about
+13 us at K = 10 and 20 us at K = 100, of which the two generator calls,
+8 and 16 us, cannot be shared by batching, so a large batch splits its
+runs across the usable CPUs: this process runs the first share and a
+forked child (``workers``) each other one, and the shares are joined along
+the run axis, bit-identical to one process.
 
 The sequence scan enumerates a box of band sequences by brute force. The
 package itself does not call it; the tests compare ``lemma.exhaustive_verify``,
@@ -147,7 +150,7 @@ def _blocks(horizon, block):
     return ((t, min(block, horizon - t)) for t in range(0, horizon, block))
 
 
-def _ucb_batch(means, adj, horizon, bonus, neighbor_updates, gens, regret):
+def _ucb_batch(means, adj, horizon, bonus, gens, regret):
     num_graphs, num_arms = adj.shape[:2]
     num_runs = len(gens)
     shape = (num_graphs, num_runs, num_arms)
@@ -157,9 +160,6 @@ def _ucb_batch(means, adj, horizon, bonus, neighbor_updates, gens, regret):
     # 0-d operands: a Python number is converted again on every call
     one, zero, bonus = np.array(1.0), np.array(0.0), np.array(bonus)
     take_rows = _row_taker(adj, num_runs, observed)
-    # offset of episode (g, run)'s arms in the state arrays
-    state_base = np.arange(0, size, num_arms).reshape(shape[:2])
-    at = np.empty_like(state_base)
     index_3d = index.reshape(shape)
     block = regret.arms.shape[0]
     uniforms = np.empty((num_runs, block, num_arms), dtype=np.float64)
@@ -183,16 +183,10 @@ def _ucb_batch(means, adj, horizon, bonus, neighbor_updates, gens, regret):
             if early:
                 np.equal(counts, zero, out=unseen)
                 index[unseen] = np.inf
-            arm = index_3d.argmax(axis=2, out=arms[i])
-            if neighbor_updates:
-                take_rows(arm)
-                counts += observed
-                observed &= flat_wins[i]
-                sums += observed
-            else:
-                np.add(state_base, arm, out=at)
-                counts[at] += 1.0
-                sums[at] += flat_wins[i][at]
+            take_rows(index_3d.argmax(axis=2, out=arms[i]))
+            counts += observed
+            observed &= flat_wins[i]
+            sums += observed
         regret.fold(start, n)
     return counts.reshape(shape), sums.reshape(shape)
 
@@ -293,9 +287,9 @@ def _run_share(
     block = _BLOCK_DOUBLES // (num_graphs * len(runs) * means.size)
     block = max(1, min(horizon, block))
     if policy == "ucb1":
-        # ucb1 ignores the graph and every graph reads the run's uniforms,
-        # so one graph's episodes are every graph's
-        adj = adj[:1]
+        # ucb1 is ucb-n on the edgeless graph, and every graph reads the
+        # run's uniforms, so one graph's episodes are every graph's
+        adj = np.eye(means.size, dtype=np.bool_)[None]
     shape = (adj.shape[0], len(runs))
     pulls = np.empty((horizon, *shape), dtype=np.int64) if keep_pulls else None
     regret = _Regret(gaps, marks, shape, block, pulls)
@@ -304,9 +298,7 @@ def _run_share(
         state = _ts_batch(means, adj, horizon, gens, regret)
     else:
         gens = [stream(run) for run in runs]
-        state = _ucb_batch(
-            means, adj, horizon, bonus, policy == "ucb-n", gens, regret
-        )
+        state = _ucb_batch(means, adj, horizon, bonus, gens, regret)
     arrays = [regret.marked, regret.running.copy(), *state]
     if adj.shape[0] < num_graphs:
         arrays = [np.repeat(x, num_graphs, axis=0) for x in arrays]

@@ -785,6 +785,49 @@ _BAD_INPUTS = [
         lambda t: (["bounds", "--config", _config(t), "--horizon", "1", "--csv"], {}),
         id="bounds-csv-horizon-one",
     ),
+    # a misspelt or unknown key used to be ignored, and its default taken
+    *[
+        pytest.param(
+            2, f"unknown field: {name} ",
+            lambda t, data=data: (
+                ["simulate", "--config", _write(t / "c.yaml", data),
+                 "--out", str(t / "out")],
+                {},
+            ),
+            id=f"unknown-key-{name}",
+        )
+        for name, data in [
+            ("run.run", config_dict(run={"horizon": 100, "run": 50})),
+            ("mis.exact_limt", config_dict(mis={"exact_limt": 1})),
+            ("extra", config_dict(extra={"runs": 5})),
+            ("policy.detla", config_dict(policy={"name": "ucb-n", "detla": 0.1})),
+            (
+                "instance.graph.num_arm",
+                config_dict(
+                    instance={"means": [0.9, 0.6, 0.6],
+                              "graph": {"edges": ["0-1"], "num_arm": 3}}
+                ),
+            ),
+            (
+                "instance.familly",
+                config_dict(
+                    instance={"means": [0.9, 0.6, 0.6], "graph": "cliques:2,1",
+                              "familly": "bernoulli"}
+                ),
+            ),
+        ]
+    ],
+    pytest.param(
+        # yaml's own message spans several lines, with a caret under the mark
+        2, "c.yaml: invalid YAML: expected ',' or ']', but got '<stream end>' "
+        "at line 3, column 1",
+        lambda t: (
+            ["bounds", "--config",
+             _write(t / "c.yaml", b"instance:\n  means: [0.9, 0.6\n")],
+            {},
+        ),
+        id="config-truncated-yaml",
+    ),
 ]
 
 

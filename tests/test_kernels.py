@@ -191,19 +191,23 @@ class TestBatchAgainstByHand:
         assert gen.random() == rng.random()
 
     def test_ucb1_runs_one_graph_for_every_graph(self, monkeypatch):
-        # ucb1 ignores the graph, so the loops simulate one graph's episodes
-        shapes = []
+        # ucb1 is ucb-n on the edgeless graph, whatever graphs it is given,
+        # so the loops simulate that one graph's episodes
+        adjs = []
         ucb_batch = kernels._ucb_batch
 
         def spy(means, adj, *args):
-            shapes.append(adj.shape)
+            adjs.append(adj)
             return ucb_batch(means, adj, *args)
 
         monkeypatch.setattr(kernels, "_ucb_batch", spy)
         graphs = [complete(6), disjoint_cliques((3, 3)), edgeless(6)]
         inst = BanditInstance(MEANS, graphs[0])
         _check_against_by_hand("ucb1", inst, graphs, 200, 3, 4, [1, 63, 199])
-        assert shapes == [(1, 6, 6)]
+        assert [adj.shape for adj in adjs] == [(1, 6, 6)]
+        # contiguous, so that taking its rows copies no more than the rows
+        assert adjs[0].dtype == np.bool_ and adjs[0].flags.c_contiguous
+        assert np.array_equal(adjs[0][0], np.eye(6, dtype=bool))
 
     def test_input_validation(self):
         inst = BanditInstance(MEANS, cycle(6))
@@ -311,8 +315,9 @@ class TestBatchAgainstByHand:
 class TestOneGraphPath:
     """A one-graph batch reads the pulled arms' adjacency rows directly, a
     batch of G graphs through each graph's row offset, and a ucb1 batch
-    simulates one graph for all; each gives the bits of G one-graph batches
-    and of every episode by hand, and holds no copy of the adjacency."""
+    simulates one graph for all, the edgeless one; each gives the bits of G
+    one-graph batches and of every episode by hand, and holds no copy of
+    the adjacency."""
 
     @given(
         st.sampled_from(POLICIES),
@@ -373,6 +378,48 @@ class TestOneGraphPath:
                 )
                 assert np.array_equal(whole.state_a[g, run], state[0])
                 assert np.array_equal(whole.state_b[g, run], state[1])
+
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(1, 40),
+        st.integers(1, 64),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_ucb1_is_ucbn_on_the_edgeless_graph(
+        self, k, num_graphs, num_runs, horizon, block_doubles, seed
+    ):
+        rng = np.random.default_rng(seed)
+        adj = np.stack([
+            FeedbackGraph(k, random_edges(rng, k, rng.uniform())).adjacency_matrix()
+            for _ in range(num_graphs)
+        ])
+        means = rng.uniform(size=k)
+
+        def batch(policy, adj):
+            return run_episode_batch(
+                policy,
+                means,
+                adj,
+                horizon,
+                lambda run: episode_stream(seed, run),
+                num_runs,
+                bonus=exploration_bonus(k, horizon, DELTA),
+                gaps=means.max() - means,
+                marks=range(horizon),
+                keep_pulls=True,
+            )
+
+        # blocks of a few rounds, so that horizons cross block boundaries
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_BLOCK_DOUBLES", block_doubles)
+            got = batch("ucb1", adj)
+            want = batch("ucb-n", np.stack([edgeless(k).adjacency_matrix()] * num_graphs))
+        for name in ("marked", "final", "pulls", "state_a", "state_b"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_loops_hold_no_copy_of_the_adjacency(self, policy):
