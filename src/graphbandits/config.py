@@ -171,9 +171,15 @@ def experiment_config_from_dict(data: dict, source: str = "<config>") -> Experim
         raise ConfigError(f"{source}: {exc}") from exc
 
 
-def _yaml_problem(exc: yaml.YAMLError) -> str:
-    """yaml's error on one line: the problem and where it was found (1-based),
-    or, without a mark, the error's own text with its lines joined."""
+def _yaml_problem(exc: yaml.YAMLError, text: str) -> str:
+    """yaml's error on one line: the problem and where it was found in
+    ``text`` (line and column, 1-based), or, with neither a mark nor a
+    character offset, the error's own text with its lines joined."""
+    if isinstance(exc, yaml.reader.ReaderError):
+        problem = f"unacceptable character #x{exc.character:04x}: {exc.reason}"
+        line = text.count("\n", 0, exc.position)
+        column = exc.position - text.rfind("\n", 0, exc.position) - 1
+        return f"{problem} at line {line + 1}, column {column + 1}"
     problem = getattr(exc, "problem", None)
     mark = getattr(exc, "problem_mark", None)
     if problem is None or mark is None:
@@ -194,7 +200,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {_yaml_problem(exc)}") from exc
+        raise ConfigError(f"{path}: invalid YAML: {_yaml_problem(exc, text)}") from exc
     except ValueError as exc:  # e.g. an integer past str()'s digit limit, a bad date
         raise ConfigError(f"{path}: unreadable value: {exc}") from None
     if data is None:

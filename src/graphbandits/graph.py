@@ -10,6 +10,7 @@ diagonal; every view of it, the search's bitmasks too, is read from it.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,21 +113,20 @@ class IndependentSetResult:
     approximate: bool = False
 
 
-def _neighbor_masks(adj: np.ndarray, order=None) -> list[int]:
-    # bit b of masks[a] is set when b != a is a neighbour of a (the XOR clears
-    # the diagonal bit) in the bool matrix adj, vertex i standing for order[i]
-    # if given: mask i is row order[i] with its columns taken in that order
-    if order is None:
-        order = range(len(adj))
+def _neighbor_masks(adj: np.ndarray, order=None, labels=None) -> list[int]:
+    # bit j of the mask of label i is set when j != i is a neighbour of i (the
+    # XOR clears bit i) in the bool matrix adj, label j standing for vertex
+    # order[j] if given; the masks of ``labels`` if given, else of every label
+    order = np.arange(len(adj)) if order is None else np.asarray(order, dtype=np.intp)
+    if labels is None:
+        labels, rows = range(len(order)), order
     else:
-        adj = adj.take(order, 1)
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    n = packed.shape[1]
-    rows = packed.tobytes()
-    return [
-        int.from_bytes(rows[v * n:v * n + n], "little") ^ 1 << i
-        for i, v in enumerate(order)
-    ]
+        rows = order[labels]
+    packed = np.packbits(adj.take(rows, 0).take(order, 1), axis=1, bitorder="little")
+    # one bytes object per row; dropping its trailing zero bytes keeps its value
+    data = packed.view(f"S{max(packed.shape[1], 1)}").ravel().tolist()
+    from_bytes = int.from_bytes
+    return [from_bytes(row, "little") ^ 1 << i for i, row in zip(labels, data)]
 
 
 def _clique_cover_bound(cand: int, masks, weights, classes=None) -> int:
@@ -198,51 +198,58 @@ def _best_value(masks, weights, cand: int) -> int:
     return best
 
 
-def _lex_smallest_optimal(goal, masks, weights, bit, cand) -> list:
-    """Lexicographically smallest vertex set of integer weight at least ``goal``.
+def _lex_smallest_optimal(goal, masks, weights, bits) -> list:
+    """Lexicographically smallest candidate set of integer weight at least ``goal``.
 
-    ``masks`` and ``weights`` are in labels, ``bit[v]`` is vertex v's label
-    bit and ``cand`` holds the candidates' bits. Depth-first over the lowest
-    vertex left, taking it before leaving it out, so the first set that
-    reaches the goal is the smallest sorted tuple; the bound prunes no
-    branch that reaches it, so the answer does not depend on the labelling.
+    ``masks`` and ``weights`` are in labels, ``bits`` the candidates' label
+    bits in vertex order, and the set is returned as indices into ``bits``.
+    Depth-first over the lowest candidate left, taking it before leaving it
+    out, so the first set that reaches the goal is the smallest sorted
+    tuple; the bound prunes no branch that reaches it, so the answer does
+    not depend on the labelling.
     """
     chosen: list[int] = []
 
-    def dfs(v, cand, acc):
+    def dfs(j, cand, acc):
         if acc >= goal:
             return True
         if not cand or acc + _clique_cover_bound(cand, masks, weights) < goal:
             return False
-        while not cand & bit[v]:
-            v += 1
-        i = bit[v].bit_length() - 1
-        chosen.append(v)
-        if dfs(v + 1, cand & ~(masks[i] | bit[v]), acc + weights[i]):
+        while not cand & bits[j]:
+            j += 1
+        i = bits[j].bit_length() - 1
+        chosen.append(j)
+        if dfs(j + 1, cand & ~(masks[i] | bits[j]), acc + weights[i]):
             return True
         chosen.pop()
-        return dfs(v + 1, cand ^ bit[v], acc)
+        return dfs(j + 1, cand ^ bits[j], acc)
 
-    dfs(0, cand, 0)
+    dfs(0, sum(bits), 0)
     return chosen
 
 
-def _greedy_set(graph: FeedbackGraph, weights) -> IndependentSetResult:
-    # heaviest first, then the smallest neighborhood, then (stable sort) lowest id
-    adj = graph.adjacency_matrix()
-    w = np.ones(graph.num_arms) if weights is None else np.array(weights)
-    order = np.lexsort((adj.sum(axis=1), -w))
-    chosen: list[int] = []
-    blocked = np.zeros(graph.num_arms, dtype=bool)
-    for v in order.tolist():
-        if not blocked[v]:
-            chosen.append(v)
-            blocked |= adj[v]
+def _greedy_set(adj: np.ndarray, weights, positions) -> IndependentSetResult:
+    """Greedy independent set of the subgraph that the ascending ``positions``
+    of the bool matrix ``adj`` induce, read in place and flagged approximate:
+    heaviest first, then the fewest neighbours among the positions, then
+    (stable sort) the lowest position."""
+    inside = np.zeros(len(adj), dtype=bool)
+    inside[list(positions)] = True
+    degree = [np.count_nonzero(adj[p] & inside) for p in positions]
+    w = np.array([1.0 if weights is None else weights[p] for p in positions])
+    chosen: list[int] = []  # indices into positions, the subgraph's ids
+    blocked = np.zeros(len(adj), dtype=bool)
+    for j in np.lexsort((degree, -w)).tolist():
+        if not blocked[positions[j]]:
+            chosen.append(j)
+            blocked |= adj[positions[j]]
     try:
         value = len(chosen) if weights is None else math.fsum(w[chosen].tolist())
     except OverflowError:
         raise InputError("the greedy independent-set weight overflows") from None
-    return IndependentSetResult(frozenset(chosen), value, approximate=True)
+    # through the subgraph's own set, as mapping that set back would: same repr
+    vertices = frozenset(positions[j] for j in frozenset(chosen))
+    return IndependentSetResult(vertices, value, approximate=True)
 
 
 def max_independent_set(
@@ -260,99 +267,112 @@ def max_independent_set(
     A graph too deep for the interpreter's recursion is refused, as is one
     above ``exact_limit`` vertices unless ``allow_approximate`` asks for a
     greedy answer, flagged as such. Every call searches: nothing is kept
-    between calls. This is the exact core's whole-graph call; ``phases``
-    solves each instance's subsets as candidates of the same core and keeps
-    its labellings and answers on the instance.
+    between calls. The input checked, the whole graph goes to
+    ``_Labels.solve``, the one path of every request (``phases`` sends it
+    each instance's subsets).
     """
-    k = graph.num_arms
     if weights is not None:
         weights = [float(w) for w in weights]
-        if len(weights) != k:
-            raise InputError(f"expected {k} weights, got {len(weights)}")
+        if len(weights) != graph.num_arms:
+            raise InputError(f"expected {graph.num_arms} weights, got {len(weights)}")
         for w in weights:
             if not math.isfinite(w) or w < 0:
                 raise InputError(f"weights must be finite and nonnegative, got {w}")
-    if exact_limit < 0:
-        raise InputError(
-            "exact_limit (--mis-limit, mis.exact_limit) must be nonnegative, "
-            f"got {exact_limit}"
-        )
-    if k == 0:
-        return IndependentSetResult(frozenset(), 0 if weights is None else 0.0)
-    if k > exact_limit:
-        if not allow_approximate:
-            raise CapabilityError(
-                f"exact independent-set search is limited to {exact_limit} "
-                f"vertices (graph has {k}); pass allow_approximate=True "
-                "(--approx-mis, mis.allow_approximate) to accept a greedy answer"
-            )
-        return _greedy_set(graph, weights)
-    return _Labels(graph.adjacency_matrix(), weights).solve(range(k))
+    labels = _Labels(graph.adjacency_matrix(), weights)
+    return labels.solve(range(graph.num_arms), exact_limit, allow_approximate)
+
+
+# A labelling of up to this many positions builds all its neighbour masks at
+# once (8 KiB at most); a larger one builds a mask when a request first holds it.
+_ALL_MASKS = 256
 
 
 class _Labels:
-    """A graph under one weighting, as the exact search reads it.
+    """A graph under one weighting, as every independent-set request reads it.
 
-    ``adj`` is a nonempty bool adjacency matrix, its positions the vertices.
-    The weights (None for all ones, else finite and nonnegative floats, one
-    per position) are held as integers over one scale, so every subset sum
-    is exact. The search reads two labellings, lightest first for the
+    ``adj`` is a bool adjacency matrix, its positions the vertices. The
+    weights (None for all ones, else finite and nonnegative floats, one per
+    position) are held as integers over one scale, so every subset sum is
+    exact. The exact search reads two labellings, lightest first for the
     optimum and heaviest first for the set, both then sparsest, then lowest
     position; each is built on first use and kept, and equal weights share
-    one. ``solve`` reads any set of positions as candidates of them.
+    one. Its per-position state is compact and its masks cover only the
+    positions requests have held, so a few arms of a large graph cost little.
     """
 
     __slots__ = ("adj", "weights", "scale", "iw", "uneven", "_sparse", "_built")
 
     def __init__(self, adj: np.ndarray, weights=None):
-        k = len(adj)
         self.adj, self.weights = adj, weights
         if weights is None:
-            self.scale, self.iw = 1, [1] * k
+            self.scale, self.iw = 1, [1] * len(adj)
         else:
             # Every float is a dyadic rational, so over the largest denominator
             # the weights are integers and every subset sum below is exact.
             ratios = [x.as_integer_ratio() for x in weights]
-            self.scale = max(d for _, d in ratios)
+            self.scale = max((d for _, d in ratios), default=1)
             self.iw = [n * (self.scale // d) for n, d in ratios]
-        self.uneven = min(self.iw) < max(self.iw)
-        deg = adj.sum(axis=1).tolist()
-        # sparsest first, then lowest position: the stable sorts of labelling
-        # keep this order among equal weights, so its key is (weight, degree, id)
-        self._sparse = sorted(range(k), key=deg.__getitem__)
-        self._built = {}
+        self.uneven = len(set(self.iw)) > 1
+        self._sparse, self._built = None, {}
 
     def labelling(self, heaviest: bool):
-        """(masks, weights, bit): each position's neighbour mask and integer
-        weight in labels, and ``bit[p]`` position p's label bit."""
+        """(masks, weights, order, label): each label's neighbour mask (None
+        until built), integer weight and position; each position's label."""
         heaviest = heaviest and self.uneven
         if heaviest not in self._built:
-            order = sorted(self._sparse, key=self.iw.__getitem__, reverse=heaviest)
-            bit = [0] * len(order)
+            if self._sparse is None:
+                # sparsest first, then lowest position: the stable sorts by
+                # weight keep this order among equal weights
+                self._sparse = np.argsort(self.adj.sum(axis=1), kind="stable")
+            order = sorted(self._sparse.tolist(), key=self.iw.__getitem__, reverse=heaviest)
+            order = array("q", order)
+            label = array("q", order)  # overwritten with the inverse permutation
             for i, p in enumerate(order):
-                bit[p] = 1 << i
-            self._built[heaviest] = (
-                _neighbor_masks(self.adj, order), [self.iw[p] for p in order], bit
-            )
+                label[p] = i
+            k = len(order)
+            masks = _neighbor_masks(self.adj, order) if k <= _ALL_MASKS else [None] * k
+            self._built[heaviest] = (masks, [self.iw[p] for p in order], order, label)
         return self._built[heaviest]
 
-    def solve(self, positions) -> IndependentSetResult:
-        """Maximum-weight independent set among the vertices at ``positions``.
+    def _bits(self, heaviest: bool, positions):
+        """The labelling's masks and integer weights, and the label bits of
+        ``positions``, after building the masks those labels lack."""
+        masks, weights, order, label = self.labelling(heaviest)
+        if len(order) > _ALL_MASKS:
+            missing = [label[p] for p in positions if masks[label[p]] is None]
+            for i, mask in zip(missing, _neighbor_masks(self.adj, order, missing)):
+                masks[i] = mask
+        return masks, weights, [1 << label[p] for p in positions]
 
-        The optimum by ``_best_value`` in the lightest-first labelling, the
-        set by ``_lex_smallest_optimal`` in the heaviest-first one. Over one
-        scale, the optimum as a float and the sets that reach it are those of
-        the subgraph of ``positions`` searched alone.
+    def solve(self, positions, exact_limit=DEFAULT_EXACT_LIMIT, allow_approximate=False):
+        """Maximum-weight independent set among the vertices at the ascending
+        ``positions``, under the rules of ``max_independent_set``, its limit
+        counting the positions. The optimum comes from ``_best_value`` in the
+        lightest-first labelling, the set from ``_lex_smallest_optimal`` in
+        the heaviest-first one: over one scale, those of the positions'
+        subgraph searched alone.
         """
+        if exact_limit < 0:
+            raise InputError(
+                "exact_limit (--mis-limit, mis.exact_limit) must be nonnegative, "
+                f"got {exact_limit}"
+            )
+        if len(positions) > exact_limit:
+            if not allow_approximate:
+                raise CapabilityError(
+                    f"exact independent-set search is limited to {exact_limit} "
+                    f"vertices (graph has {len(positions)}); pass allow_approximate=True "
+                    "(--approx-mis, mis.allow_approximate) to accept a greedy answer"
+                )
+            return _greedy_set(self.adj, self.weights, positions)
         try:
-            masks, lw, bit = self.labelling(False)
-            target = _best_value(masks, lw, sum(bit[p] for p in positions)) / self.scale
+            masks, lw, bits = self._bits(False, positions)
+            target = _best_value(masks, lw, sum(bits)) / self.scale
             # sets within a relative 1e-9 of the optimum tie it
             n, d = (target - 1e-9 * target).as_integer_ratio()
-            masks, lw, bit = self.labelling(True)
-            chosen = _lex_smallest_optimal(
-                -(-n * self.scale // d), masks, lw, bit, sum(bit[p] for p in positions)
-            )
+            if self.uneven:
+                masks, lw, bits = self._bits(True, positions)
+            found = _lex_smallest_optimal(-(-n * self.scale // d), masks, lw, bits)
         except OverflowError:
             raise InputError("the maximum independent-set weight overflows") from None
         except RecursionError:
@@ -360,10 +380,9 @@ class _Labels:
                 f"exact independent-set search on {len(positions)} vertices is "
                 "deeper than the interpreter's recursion limit"
             ) from None
-        if self.weights is None:
-            value = len(chosen)
-        else:
-            value = math.fsum(self.weights[p] for p in chosen)
+        chosen = [positions[j] for j in found]
+        w = self.weights
+        value = len(chosen) if w is None else math.fsum(w[p] for p in chosen)
         return IndependentSetResult(frozenset(chosen), value)
 
 

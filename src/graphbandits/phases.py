@@ -8,11 +8,11 @@ size * 2^p drives the downstream budget arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .env import BanditInstance, gaps
 from .errors import InputError, at_least
-from .graph import DEFAULT_EXACT_LIMIT, _Labels, max_independent_set
+from .graph import DEFAULT_EXACT_LIMIT, _Labels
 
 __all__ = [
     "PhaseBand",
@@ -26,17 +26,17 @@ __all__ = [
 ]
 
 
-def _weights(arms, weighting, gap):
-    """Weights of ``arms``: None for unit weights, else each arm's entry in
-    the gap vector ``gap`` or its inverse (0 for a gap of 0); an inverse
-    that overflows is refused."""
+def _weights(weighting, gap):
+    """Every arm's weight: None for unit weights, else its entry in the gap
+    vector ``gap`` or its inverse (0 for a gap of 0); an inverse that
+    overflows is refused."""
     if weighting is None:
         return None
-    weights = [float(gap[a]) for a in arms]
+    weights = gap.tolist()
     if weighting == "1/gap":
         weights = [1.0 / w if w else 0.0 for w in weights]
         if math.inf in weights:
-            arm = arms[weights.index(math.inf)]
+            arm = weights.index(math.inf)
             raise InputError(
                 f"arm {arm}: gap {float(gap[arm]):.3g} is too small, "
                 "its inverse overflows"
@@ -48,38 +48,20 @@ def _solve(instance, arms, weighting, exact_limit, allow_approximate, gap=None):
     """Independent set of the sorted arm ids ``arms``, in those ids.
 
     ``weighting`` is None (unit weights), ``"gap"`` or ``"1/gap"`` of each
-    arm's entry in the gap vector ``gap``. Answers, never refusals, are kept
-    on the instance per (arms, weighting, exact_limit, allow_approximate).
-
-    On an instance with at most ``exact_limit`` arms, ``arms`` are searched
-    as the candidates of the instance's labelling for ``weighting``, which
-    weights every arm (an optimal arm's inverse gap as 0) and is built once
-    and kept on the instance. On a larger instance ``arms`` go to
-    ``max_independent_set`` on their subgraph (the whole graph uncopied):
-    searched exactly within the limit, else a greedy answer if
-    ``allow_approximate`` asks for one, else a refusal.
+    arm's entry in the gap vector ``gap``. The instance keeps a ``_Labels``
+    of its graph per weighting, weighting every arm (an optimal arm's inverse
+    gap as 0), whose ``solve`` answers ``arms``: exactly within
+    ``exact_limit`` arms, else greedily if ``allow_approximate``, else by a
+    refusal. Answers, never refusals, are kept on the instance per key.
     """
     key = (arms, weighting, exact_limit, allow_approximate)
-    if key in instance._sets:
-        return instance._sets[key]
-    if instance.num_arms <= exact_limit:
+    found = instance._sets.get(key)
+    if found is None:
         labels = instance._labels.get(weighting)
         if labels is None:
-            labels = instance._labels[weighting] = _Labels(
-                instance.graph.adjacency_matrix(),
-                _weights(range(instance.num_arms), weighting, gap),
-            )
-        found = labels.solve(arms)
-    else:
-        whole = len(arms) == instance.num_arms
-        graph = instance.graph if whole else instance.graph.induced_subgraph(arms)[0]
-        found = max_independent_set(
-            graph, _weights(arms, weighting, gap),
-            exact_limit=exact_limit, allow_approximate=allow_approximate,
-        )
-        if not whole:
-            found = replace(found, vertices=frozenset(arms[v] for v in found.vertices))
-    instance._sets[key] = found
+            adj = instance.graph.adjacency_matrix()
+            labels = instance._labels[weighting] = _Labels(adj, _weights(weighting, gap))
+        found = instance._sets[key] = labels.solve(arms, exact_limit, allow_approximate)
     return found
 
 
@@ -189,8 +171,7 @@ def decompose(
         instance, range(instance.num_arms), None, exact_limit, allow_approximate
     ).value)
     buckets: dict[int, list[int]] = {}
-    for arm in range(instance.num_arms):
-        gap = float(profile.gaps[arm])
+    for arm, gap in enumerate(profile.gaps.tolist()):
         if gap > 0.0:
             p = phase_of(gap)
             if p <= top:

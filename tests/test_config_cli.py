@@ -285,9 +285,9 @@ class TestMisSettingsPrecedence:
         calls = []
         real = graph_module._greedy_set
 
-        def spy(graph, weights):
-            calls.append(graph.num_arms)
-            return real(graph, weights)
+        def spy(adj, weights, positions):
+            calls.append(len(positions))
+            return real(adj, weights, positions)
 
         monkeypatch.setattr(graph_module, "_greedy_set", spy)
         return calls
@@ -827,6 +827,17 @@ _BAD_INPUTS = [
             {},
         ),
         id="config-truncated-yaml",
+    ),
+    pytest.param(
+        # a control character: yaml names no mark, only a character offset
+        2, "c.yaml: invalid YAML: unacceptable character #x0001: special "
+        "characters are not allowed at line 2, column 20\n",
+        lambda t: (
+            ["bounds", "--config",
+             _write(t / "c.yaml", b"instance:\n  means: [0.9, 0.5]\x01\n")],
+            {},
+        ),
+        id="config-control-character",
     ),
 ]
 

@@ -432,15 +432,12 @@ class TestLexSmallestOptimal:
         target = _best_value(masks, iw, (1 << k) - 1) / scale
         n, d = (target - 1e-9 * target).as_integer_ratio()
         goal = -(-n * scale // d)
-        full = (1 << k) - 1
-        plain = _lex_smallest_optimal(goal, masks, iw, [1 << v for v in range(k)], full)
+        plain = _lex_smallest_optimal(goal, masks, iw, [1 << v for v in range(k)])
         bit = [0] * k  # vertex perm[i] labelled i
         for i, v in enumerate(perm):
             bit[v] = 1 << i
         perm_masks = _neighbor_masks(graph.adjacency_matrix(), perm)
-        relabelled = _lex_smallest_optimal(
-            goal, perm_masks, [iw[v] for v in perm], bit, full
-        )
+        relabelled = _lex_smallest_optimal(goal, perm_masks, [iw[v] for v in perm], bit)
         assert relabelled == plain
         assert tuple(relabelled) == brute_force_mis(k, edges, weights)[1]
 
@@ -841,7 +838,7 @@ class TestMatrixStorage:
                 [float(x) for x in rng.integers(0, 3, k)],
                 [float(x) for x in rng.random(k)],
             ):
-                got = _greedy_set(g, weights)
+                got = _greedy_set(g.adjacency_matrix(), weights, range(k))
                 chosen, value = greedy_by_hand(sets, weights)
                 assert sorted(got.vertices) == chosen, label
                 assert repr(got.value) == repr(value), label

@@ -1,10 +1,12 @@
 """Dyadic gap bands, the peak band, and the band-weighted regret mass."""
+import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphbandits import (
@@ -25,8 +27,11 @@ from graphbandits import (
     verify_decomposition,
     verify_instance,
 )
+from graphbandits import bounds as bounds_module
 from graphbandits import env as env_module
 from graphbandits import graph as graph_module
+from graphbandits import max_independent_set
+from graphbandits import phases as phases_module
 
 from oracles import brute_force_mis, random_instance
 
@@ -248,9 +253,11 @@ def solves(monkeypatch):
     calls = []
     real = graph_module._Labels.solve
 
-    def spy(labels, positions):
-        calls.append((len(positions), labels.weights))
-        return real(labels, positions)
+    def spy(labels, positions, exact_limit, allow_approximate):
+        found = real(labels, positions, exact_limit, allow_approximate)
+        if not found.approximate:
+            calls.append((len(positions), labels.weights))
+        return found
 
     monkeypatch.setattr(graph_module._Labels, "solve", spy)
     return calls
@@ -292,15 +299,28 @@ class TestInstanceSets:
         assert not inst._sets
         assert not solves
 
-    def test_one_mask_set_per_weighting_and_direction(self, monkeypatch):
-        built = []
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        """Counts the neighbour masks built, per labelling and position."""
+        built = Counter()
         real = graph_module._neighbor_masks
 
-        def spy(adj, order=None):
-            built.append(len(order))
-            return real(adj, order)
+        def spy(adj, order=None, labels=None):
+            labels = range(len(order)) if labels is None else labels
+            built.update((id(order), order[i]) for i in labels)
+            return real(adj, order, labels)
 
         monkeypatch.setattr(graph_module, "_neighbor_masks", spy)
+        return built
+
+    @staticmethod
+    def positions_per_labelling(built):
+        by_labelling = {}
+        for labelling, position in built:
+            by_labelling.setdefault(labelling, []).append(position)
+        return sorted(sorted(positions) for positions in by_labelling.values())
+
+    def test_each_mask_is_built_once_per_labelling(self, rows):
         inst = spread_instance()
         for _ in range(2):
             report = bound_report(inst, HORIZON)
@@ -308,7 +328,21 @@ class TestInstanceSets:
             regret_mass(inst, HORIZON, report.scale)
             assert verify_instance(inst, HORIZON)
         # unit weights share one labelling; gaps and inverse gaps take two each
-        assert built == [inst.num_arms] * 5
+        assert set(rows.values()) == {1}
+        assert self.positions_per_labelling(rows) == [list(range(inst.num_arms))] * 5
+
+    def test_bands_past_the_limit_build_their_masks_only(self, rows):
+        k = 3000
+        means = np.full(k, 0.9)
+        suboptimal = [1, 7, 20, 700, 900, 1500, 1800, 2000, 2700, 2999]
+        means[suboptimal] = [0.3, 0.6, 0.7, 0.6, 0.7, 0.3, 0.7, 0.6, 0.7, 0.3]
+        inst = BanditInstance(means, edgeless(k))
+        for _ in range(2):
+            decompose(inst, HORIZON, allow_approximate=True)
+            regret_mass(inst, HORIZON, 1.0, allow_approximate=True)
+        # unit weights, and gaps lightest and heaviest first
+        assert set(rows.values()) == {1}
+        assert self.positions_per_labelling(rows) == [suboptimal] * 3
 
     def test_analysis_reads_the_kept_gap_profile(self, monkeypatch):
         inst = spread_instance()
@@ -369,6 +403,79 @@ def band_oracle(graph, arms, weights=None):
     ]
     value, chosen = brute_force_mis(len(arms), edges, weights)
     return value, frozenset(arms[v] for v in chosen)
+
+
+def subgraph_solve(instance, arms, weighting, exact_limit, allow_approximate, gap=None):
+    """The arms' induced subgraph solved alone, its ids mapped back: an
+    independent route to every answer and refusal that ``phases._solve``
+    gives, with nothing kept on the instance."""
+    sub, ids = instance.graph.induced_subgraph(arms)
+    weights = None
+    if weighting is not None:
+        weights = [float(gap[a]) for a in ids]
+        if weighting == "1/gap":
+            weights = [1.0 / w for w in weights]  # every requested arm is suboptimal
+    found = max_independent_set(
+        sub, weights, exact_limit=exact_limit, allow_approximate=allow_approximate
+    )
+    return dataclasses.replace(found, vertices=frozenset(ids[v] for v in found.vertices))
+
+
+def outcome(call):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return call()
+    except (InputError, CapabilityError) as exc:
+        return type(exc), str(exc)
+
+
+class TestOnePath:
+    """Every request of ``phases`` and ``bounds`` takes ``_Labels.solve``,
+    whatever the instance's size against the limit."""
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([10, 10**3, 10**5]),
+        st.booleans(),
+        st.data(),
+    )
+    def test_answers_and_refusals_match_the_subgraph_oracle(
+        self, seed, horizon, allow_approximate, data
+    ):
+        inst = random_instance(np.random.default_rng(seed), min_arms=1, max_arms=14)
+        limits = {
+            "exact_limit": data.draw(st.integers(0, inst.num_arms + 1)),
+            "allow_approximate": allow_approximate,
+        }
+        calls = {
+            "bound_report": lambda i: bound_report(i, horizon, **limits),
+            "hardness": lambda i: hardness(i, **limits),
+            "decompose": lambda i: decompose(i, horizon, **limits),
+            "regret_mass": lambda i: regret_mass(i, horizon, 2.5, **limits),
+        }
+        for name, call in calls.items():
+            got = outcome(lambda: call(BanditInstance(inst.means, inst.graph)))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(phases_module, "_solve", subgraph_solve)
+                patch.setattr(bounds_module, "_solve", subgraph_solve)
+                expected = outcome(lambda: call(BanditInstance(inst.means, inst.graph)))
+            assert got == expected, name
+
+    @pytest.mark.parametrize("allow_approximate", [False, True])
+    def test_a_negative_limit_is_refused_as_input(self, allow_approximate):
+        inst = spread_instance()
+        limits = {"exact_limit": -1, "allow_approximate": allow_approximate}
+        for call in (
+            lambda: bound_report(inst, HORIZON, **limits),
+            lambda: hardness(inst, **limits),
+            lambda: decompose(inst, HORIZON, **limits),
+            lambda: regret_mass(inst, HORIZON, 1.0, **limits),
+            lambda: verify_instance(inst, HORIZON, **limits),
+        ):
+            with pytest.raises(InputError, match="--mis-limit"):
+                call()
+        assert not inst._sets
 
 
 class TestAgainstBruteForce:
