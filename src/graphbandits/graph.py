@@ -321,10 +321,10 @@ class _Labels:
         heaviest = heaviest and self.uneven
         if heaviest not in self._built:
             if self._sparse is None:
-                # sparsest first, then lowest position: the stable sorts by
-                # weight keep this order among equal weights
-                self._sparse = np.argsort(self.adj.sum(axis=1), kind="stable")
-            order = sorted(self._sparse.tolist(), key=self.iw.__getitem__, reverse=heaviest)
+                # sparsest, then lowest: stable sorts keep it among equal weights
+                deg = self.adj.sum(axis=1).tolist()
+                self._sparse = array("q", sorted(range(len(deg)), key=deg.__getitem__))
+            order = sorted(self._sparse, key=self.iw.__getitem__, reverse=heaviest)
             order = array("q", order)
             label = array("q", order)  # overwritten with the inverse permutation
             for i, p in enumerate(order):

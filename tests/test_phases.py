@@ -320,7 +320,7 @@ class TestInstanceSets:
             by_labelling.setdefault(labelling, []).append(position)
         return sorted(sorted(positions) for positions in by_labelling.values())
 
-    def test_each_mask_is_built_once_per_labelling(self, rows):
+    def test_one_mask_set_per_weighting_and_direction(self, rows):
         inst = spread_instance()
         for _ in range(2):
             report = bound_report(inst, HORIZON)
