@@ -117,16 +117,19 @@ def _neighbor_masks(adj: np.ndarray, order=None, labels=None) -> list[int]:
     # bit j of the mask of label i is set when j != i is a neighbour of i (the
     # XOR clears bit i) in the bool matrix adj, label j standing for vertex
     # order[j] if given; the masks of ``labels`` if given, else of every label
-    order = np.arange(len(adj)) if order is None else np.asarray(order, dtype=np.intp)
-    if labels is None:
-        labels, rows = range(len(order)), order
+    if order is None:
+        order = range(len(adj))
+    if labels is None:  # every row, read in place
+        labels, rows, sub = range(len(order)), order, adj.take(order, 1)
     else:
-        rows = order[labels]
-    packed = np.packbits(adj.take(rows, 0).take(order, 1), axis=1, bitorder="little")
-    # one bytes object per row; dropping its trailing zero bytes keeps its value
-    data = packed.view(f"S{max(packed.shape[1], 1)}").ravel().tolist()
-    from_bytes = int.from_bytes
-    return [from_bytes(row, "little") ^ 1 << i for i, row in zip(labels, data)]
+        rows, sub = range(len(labels)), adj.take(np.take(order, labels), 0).take(order, 1)
+    packed = np.packbits(sub, axis=1, bitorder="little")
+    n = packed.shape[1]
+    data = packed.tobytes()
+    return [
+        int.from_bytes(data[v * n:v * n + n], "little") ^ 1 << i
+        for i, v in zip(labels, rows)
+    ]
 
 
 def _clique_cover_bound(cand: int, masks, weights, classes=None) -> int:
@@ -195,6 +198,7 @@ def _best_value(masks, weights, cand: int) -> int:
                     expand(earlier & ~masks[v], acc + weights[v])
 
     expand(cand, 0)
+    del expand  # the closure names itself: free it now, not at a collection
     return best
 
 
@@ -202,11 +206,10 @@ def _lex_smallest_optimal(goal, masks, weights, bits) -> list:
     """Lexicographically smallest candidate set of integer weight at least ``goal``.
 
     ``masks`` and ``weights`` are in labels, ``bits`` the candidates' label
-    bits in vertex order, and the set is returned as indices into ``bits``.
+    bits in vertex order; the set is returned as indices into ``bits``.
     Depth-first over the lowest candidate left, taking it before leaving it
-    out, so the first set that reaches the goal is the smallest sorted
-    tuple; the bound prunes no branch that reaches it, so the answer does
-    not depend on the labelling.
+    out, so the first set that reaches the goal is the smallest sorted tuple;
+    the bound prunes no branch that reaches it, so no labelling changes it.
     """
     chosen: list[int] = []
 
@@ -225,30 +228,30 @@ def _lex_smallest_optimal(goal, masks, weights, bits) -> list:
         return dfs(j + 1, cand ^ bits[j], acc)
 
     dfs(0, sum(bits), 0)
+    del dfs  # as in _best_value
     return chosen
 
 
 def _greedy_set(adj: np.ndarray, weights, positions) -> IndependentSetResult:
-    """Greedy independent set of the subgraph that the ascending ``positions``
-    of the bool matrix ``adj`` induce, read in place and flagged approximate:
-    heaviest first, then the fewest neighbours among the positions, then
-    (stable sort) the lowest position."""
-    inside = np.zeros(len(adj), dtype=bool)
-    inside[list(positions)] = True
-    degree = [np.count_nonzero(adj[p] & inside) for p in positions]
+    """Greedy set, flagged approximate, of the subgraph that the ascending
+    ``positions`` of the bool matrix ``adj`` induce (copied unless whole):
+    heaviest first, then fewest neighbours, then (stable) lowest position."""
+    whole = len(positions) == len(adj)
+    adj = adj if whole else adj.take(positions, 0).take(positions, 1)
     w = np.array([1.0 if weights is None else weights[p] for p in positions])
-    chosen: list[int] = []  # indices into positions, the subgraph's ids
+    chosen: list[int] = []  # the subgraph's ids, indices into positions
     blocked = np.zeros(len(adj), dtype=bool)
-    for j in np.lexsort((degree, -w)).tolist():
-        if not blocked[positions[j]]:
-            chosen.append(j)
-            blocked |= adj[positions[j]]
+    for v in np.lexsort((adj.sum(axis=1), -w)).tolist():
+        if not blocked[v]:
+            chosen.append(v)
+            blocked |= adj[v]
     try:
         value = len(chosen) if weights is None else math.fsum(w[chosen].tolist())
     except OverflowError:
         raise InputError("the greedy independent-set weight overflows") from None
-    # through the subgraph's own set, as mapping that set back would: same repr
-    vertices = frozenset(positions[j] for j in frozenset(chosen))
+    vertices = frozenset(chosen)
+    if not whole:  # mapped back through the subgraph's own set: the same repr
+        vertices = frozenset(positions[j] for j in vertices)
     return IndependentSetResult(vertices, value, approximate=True)
 
 
@@ -267,9 +270,8 @@ def max_independent_set(
     A graph too deep for the interpreter's recursion is refused, as is one
     above ``exact_limit`` vertices unless ``allow_approximate`` asks for a
     greedy answer, flagged as such. Every call searches: nothing is kept
-    between calls. The input checked, the whole graph goes to
-    ``_Labels.solve``, the one path of every request (``phases`` sends it
-    each instance's subsets).
+    between calls. The checked input goes to ``_Labels.solve``, the one
+    path of every request (``phases`` sends it each instance's subsets).
     """
     if weights is not None:
         weights = [float(w) for w in weights]
@@ -282,11 +284,6 @@ def max_independent_set(
     return labels.solve(range(graph.num_arms), exact_limit, allow_approximate)
 
 
-# A labelling of up to this many positions builds all its neighbour masks at
-# once (8 KiB at most); a larger one builds a mask when a request first holds it.
-_ALL_MASKS = 256
-
-
 class _Labels:
     """A graph under one weighting, as every independent-set request reads it.
 
@@ -296,62 +293,66 @@ class _Labels:
     exact. The exact search reads two labellings, lightest first for the
     optimum and heaviest first for the set, both then sparsest, then lowest
     position; each is built on first use and kept, and equal weights share
-    one. Its per-position state is compact and its masks cover only the
-    positions requests have held, so a few arms of a large graph cost little.
+    one.
     """
 
-    __slots__ = ("adj", "weights", "scale", "iw", "uneven", "_sparse", "_built")
+    __slots__ = ("adj", "weights", "scale", "iw", "uneven", "_deg", "_built")
 
     def __init__(self, adj: np.ndarray, weights=None):
         self.adj, self.weights = adj, weights
         if weights is None:
             self.scale, self.iw = 1, [1] * len(adj)
         else:
-            # Every float is a dyadic rational, so over the largest denominator
-            # the weights are integers and every subset sum below is exact.
-            ratios = [x.as_integer_ratio() for x in weights]
-            self.scale = max((d for _, d in ratios), default=1)
-            self.iw = [n * (self.scale // d) for n, d in ratios]
+            # Every float is a dyadic rational, so over the largest denominator the
+            # weights are integers and every subset sum below is exact. (Ratios are
+            # read twice: K pairs at once would stay in the tuple free list.)
+            self.scale = max((x.as_integer_ratio()[1] for x in weights), default=1)
+            self.iw = [n * (self.scale // d) for n, d in map(float.as_integer_ratio, weights)]
         self.uneven = len(set(self.iw)) > 1
-        self._sparse, self._built = None, {}
+        self._deg, self._built = None, {}
 
-    def labelling(self, heaviest: bool):
-        """(masks, weights, order, label): each label's neighbour mask (None
-        until built), integer weight and position; each position's label."""
+    def labelling(self, heaviest: bool, exact_limit: int):
+        """(masks, weights, order, label): each label's neighbour mask and
+        integer weight, the positions in label order (None once every mask
+        is built) and each position's label. A graph within ``exact_limit``
+        may be asked for whole, so every mask is built now; a larger one is
+        asked for a few positions at a time, so it keeps compact arrays and
+        builds a mask when a request first holds its position."""
         heaviest = heaviest and self.uneven
-        if heaviest not in self._built:
-            if self._sparse is None:
-                # sparsest, then lowest: stable sorts keep it among equal weights
-                deg = self.adj.sum(axis=1).tolist()
-                self._sparse = array("q", sorted(range(len(deg)), key=deg.__getitem__))
-            order = sorted(self._sparse, key=self.iw.__getitem__, reverse=heaviest)
-            order = array("q", order)
-            label = array("q", order)  # overwritten with the inverse permutation
+        built = self._built.get(heaviest)
+        if built is None:
+            if self._deg is None:
+                self._deg = self.adj.sum(axis=1).tolist()
+            k = len(self._deg)
+            # lightest (or heaviest) first, then sparsest, then lowest position
+            order = sorted(range(k), key=self._deg.__getitem__)
+            if self.uneven:
+                order.sort(key=self.iw.__getitem__, reverse=heaviest)
+            weights = [self.iw[p] for p in order]
+            label = [0] * k if k <= exact_limit else array("q", bytes(8 * k))
             for i, p in enumerate(order):
                 label[p] = i
-            k = len(order)
-            masks = _neighbor_masks(self.adj, order) if k <= _ALL_MASKS else [None] * k
-            self._built[heaviest] = (masks, [self.iw[p] for p in order], order, label)
-        return self._built[heaviest]
+            masks = _neighbor_masks(self.adj, order) if k <= exact_limit else [None] * k
+            order = None if k <= exact_limit else np.array(order, dtype=np.intp)
+            built = self._built[heaviest] = masks, weights, order, label
+        return built
 
-    def _bits(self, heaviest: bool, positions):
-        """The labelling's masks and integer weights, and the label bits of
-        ``positions``, after building the masks those labels lack."""
-        masks, weights, order, label = self.labelling(heaviest)
-        if len(order) > _ALL_MASKS:
+    def _bits(self, heaviest: bool, positions, exact_limit: int):
+        """The labelling's masks and integer weights and the label bits of
+        ``positions``, after building the masks they lack."""
+        masks, weights, order, label = self.labelling(heaviest, exact_limit)
+        if order is not None:
             missing = [label[p] for p in positions if masks[label[p]] is None]
             for i, mask in zip(missing, _neighbor_masks(self.adj, order, missing)):
                 masks[i] = mask
         return masks, weights, [1 << label[p] for p in positions]
 
-    def solve(self, positions, exact_limit=DEFAULT_EXACT_LIMIT, allow_approximate=False):
-        """Maximum-weight independent set among the vertices at the ascending
-        ``positions``, under the rules of ``max_independent_set``, its limit
-        counting the positions. The optimum comes from ``_best_value`` in the
-        lightest-first labelling, the set from ``_lex_smallest_optimal`` in
-        the heaviest-first one: over one scale, those of the positions'
-        subgraph searched alone.
-        """
+    def solve(self, positions, exact_limit, allow_approximate):
+        """Maximum-weight independent set among the ascending ``positions``,
+        under the rules of ``max_independent_set``, its limit counting the
+        positions: the optimum by ``_best_value`` in the lightest-first
+        labelling, the set by ``_lex_smallest_optimal`` in the heaviest-first
+        one, as for the positions' subgraph searched alone."""
         if exact_limit < 0:
             raise InputError(
                 "exact_limit (--mis-limit, mis.exact_limit) must be nonnegative, "
@@ -366,12 +367,12 @@ class _Labels:
                 )
             return _greedy_set(self.adj, self.weights, positions)
         try:
-            masks, lw, bits = self._bits(False, positions)
+            masks, lw, bits = self._bits(False, positions, exact_limit)
             target = _best_value(masks, lw, sum(bits)) / self.scale
             # sets within a relative 1e-9 of the optimum tie it
             n, d = (target - 1e-9 * target).as_integer_ratio()
             if self.uneven:
-                masks, lw, bits = self._bits(True, positions)
+                masks, lw, bits = self._bits(True, positions, exact_limit)
             found = _lex_smallest_optimal(-(-n * self.scale // d), masks, lw, bits)
         except OverflowError:
             raise InputError("the maximum independent-set weight overflows") from None

@@ -50,10 +50,9 @@ def _solve(instance, arms, weighting, exact_limit, allow_approximate, gap=None):
     ``weighting`` is None (unit weights), ``"gap"`` or ``"1/gap"`` of each
     arm's entry in the gap vector ``gap``. The instance keeps a ``_Labels``
     of its graph per weighting, weighting every arm (an optimal arm's inverse
-    gap as 0), whose ``solve`` answers ``arms``: exactly within
-    ``exact_limit`` arms, else greedily if ``allow_approximate``, else by a
-    refusal. Answers, never refusals, are kept on the instance per key.
-    """
+    gap as 0), whose ``solve`` answers ``arms``: exactly within ``exact_limit``
+    arms, else greedily if ``allow_approximate``, else by a refusal. Answers,
+    never refusals, are kept on the instance per key."""
     key = (arms, weighting, exact_limit, allow_approximate)
     found = instance._sets.get(key)
     if found is None:

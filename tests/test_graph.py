@@ -504,11 +504,14 @@ def _graph_weights_and_subset(draw):
 
 
 class TestCandidateSolve:
-    @given(_graph_weights_and_subset())
-    def test_a_subset_solves_as_its_induced_subgraph(self, case):
-        # the whole graph's labelling, the subset as its candidates
+    @given(_graph_weights_and_subset(), st.booleans())
+    def test_a_subset_solves_as_its_induced_subgraph(self, case, at_size):
+        # the whole graph's labelling, the subset as its candidates; under a
+        # limit of the subset's size a larger graph builds only its masks
         graph, weights, subset = case
-        got = graph_module._Labels(graph.adjacency_matrix(), weights).solve(subset)
+        limit = len(subset) if at_size else graph_module.DEFAULT_EXACT_LIMIT
+        labels = graph_module._Labels(graph.adjacency_matrix(), weights)
+        got = labels.solve(subset, limit, False)
         sub, ids = graph.induced_subgraph(subset)
         sub_weights = None if weights is None else [weights[v] for v in ids]
         alone = max_independent_set(sub, sub_weights)
