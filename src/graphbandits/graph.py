@@ -313,8 +313,8 @@ class _Labels:
 
     def labelling(self, heaviest: bool, exact_limit: int):
         """(masks, weights, order, label): each label's neighbour mask and
-        integer weight, the positions in label order (None once every mask
-        is built) and each position's label. A graph within ``exact_limit``
+        integer weight, the positions in label order (None if every mask was
+        built at once) and each position's label. A graph within ``exact_limit``
         may be asked for whole, so every mask is built now; a larger one is
         asked for a few positions at a time, so it keeps compact arrays and
         builds a mask when a request first holds its position."""
